@@ -174,7 +174,7 @@ def c_lower_bound(frob_sq: float, beta: float, eps: float, delta: float) -> int:
 
 
 def spectral_norm_estimate(a) -> float:
-    """||A||_2 via power iteration on the smaller-side Gram matrix."""
+    """||A||_2 from the symmetric eigensolve of the smaller-side Gram matrix."""
     a = as_matrix(a)
     gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
     return math.sqrt(max(spectral_norm_sym(gram), 0.0))

@@ -274,25 +274,6 @@ def _problem_spec(p: dict) -> ProblemSpec:
     )
 
 
-def _params_for(config: dict, spec: ProblemSpec) -> SketchParams:
-    eps = float(config.get("epsilon", 0.5))
-    if config.get("theory", False):
-        return SketchParams.theory(spec.n, spec.d, eps)
-    params = SketchParams.practical(spec.n, spec.d, eps)
-    overrides = {}
-    for key in ("r", "k", "q"):
-        if config.get(key) is not None:
-            overrides[key] = config[key]
-    if overrides:
-        params = SketchParams(
-            epsilon=eps,
-            r=overrides.get("r", params.r),
-            k=overrides.get("k", params.k),
-            q=overrides.get("q", params.q),
-        )
-    return params
-
-
 def _sketch_row(
     spec: ProblemSpec,
     problem: LsProblem,
@@ -383,7 +364,10 @@ def run_experiment(config) -> ExperimentReport:
         spec = _problem_spec(p)
         problem = gen_problem(spec)
         x_opt, z = exact_outcome(problem)
-        params = _params_for(config, spec)
+        params = SketchParams.with_overrides(
+            spec.n, spec.d, float(config.get("epsilon", 0.5)), config.get("theory", False),
+            config.get("r"), config.get("k"), config.get("q"),
+        )
         for method in methods:
             for seed in seed_list:
                 if method == METHOD_EXACT:

@@ -108,20 +108,6 @@ def _load_problem(args) -> LsProblem:
     return gen_problem(spec)
 
 
-def _solve_params(args, problem: LsProblem) -> SketchParams:
-    if args.theory:
-        return SketchParams.theory(problem.n, problem.d, args.eps)
-    params = SketchParams.practical(problem.n, problem.d, args.eps)
-    if args.r is not None or args.k is not None or args.q is not None:
-        params = SketchParams(
-            epsilon=args.eps,
-            r=args.r if args.r is not None else params.r,
-            k=args.k if args.k is not None else params.k,
-            q=args.q if args.q is not None else params.q,
-        )
-    return params
-
-
 def _print_outcome(args, problem, params, outcome, seed):
     size = f"r={params.r}" if args.method in (METHOD_SAMPLING, METHOD_CGNR) else (
         f"k={params.k} q={params.q:.4g}"
@@ -147,7 +133,9 @@ def _cmd_solve(args) -> int:
         print(f"method=exact n={problem.n} d={problem.d}")
         print(f"residual={z:.10e}")
     else:
-        params = _solve_params(args, problem)
+        params = SketchParams.with_overrides(
+            problem.n, problem.d, args.eps, args.theory, args.r, args.k, args.q
+        )
         pipeline_method = (
             METHOD_SAMPLING if args.method == METHOD_CGNR else args.method
         )

@@ -39,6 +39,7 @@ from .solver import (
     METHOD_PROJECTION,
     METHOD_SAMPLING,
     exact_outcome,
+    predicted_error_bounds,
     sketch_solve_projection,
     sketch_solve_sampling,
 )
@@ -105,12 +106,17 @@ def embedding_ensemble(
     method: str,
     n: int = 1024,
     d: int = 8,
-    size: int = 256,
+    size: int = 384,
     seeds: int = 100,
     base_seed: int = 0,
     eps: float = 0.25,
 ) -> EnsembleResult:
-    """Rate at which the sketched basis keeps min sigma^2 >= 1/sqrt(2)."""
+    """Rate at which the sketched basis keeps min sigma^2 >= 1/sqrt(2).
+
+    The 0.90 floor needs size >= ~316 at d = 8: below it the
+    Marchenko-Pastur edge (1 - sqrt(d/size))^2 falls under 1/sqrt(2), so
+    no correct sketch meets the floor there.
+    """
     u = _fixed_basis(n, d, base_seed)
     q = projection_params(n, d, eps, c_q=0.1).q
     ok = 0
@@ -167,26 +173,19 @@ def relative_error_ensemble(
     violations_forward_gamma = 0
     for s in range(seeds):
         out = solve(problem, params, base_seed + s, diagnostics=True, z_exact=z)
-        residual_bound = (1.0 + eps) * z * (1.0 + _FP_GUARD)
+        diag = out.diagnostics
+        bounds = predicted_error_bounds(kappa, diag.gamma, eps, x_norm, z, sigma_min)
+        residual_bound = bounds.residual_bound * (1.0 + _FP_GUARD)
         if out.residual_tilde <= residual_bound:
             ok += 1
-        diag = out.diagnostics
         if diag.embedding_ok and diag.cross_term_ok:
             conditioned += 1
             forward = float(np.linalg.norm(x_opt - out.x_tilde))
-            forward_bound_z = math.sqrt(eps) * z / sigma_min * (1.0 + _FP_GUARD)
-            forward_bound_gamma = (
-                math.sqrt(eps)
-                * kappa
-                * math.sqrt(diag.gamma**-2 - 1.0)
-                * x_norm
-                * (1.0 + _FP_GUARD)
-            )
             if out.residual_tilde > residual_bound:
                 violations_residual += 1
-            if forward > forward_bound_z:
+            if forward > bounds.forward_bound_z * (1.0 + _FP_GUARD):
                 violations_forward_z += 1
-            if forward > forward_bound_gamma:
+            if forward > bounds.forward_bound_gamma * (1.0 + _FP_GUARD):
                 violations_forward_gamma += 1
     return EnsembleResult(
         f"relative-error {method} size={size}",
@@ -367,8 +366,8 @@ def standard_suite(
         return max(10, int(count * scale))
 
     results = list(energy_spreading(seeds=s(200), base_seed=base_seed))
-    results.append(embedding_ensemble(METHOD_SAMPLING, size=384, seeds=s(100), base_seed=base_seed))
-    results.append(embedding_ensemble(METHOD_PROJECTION, size=384, seeds=s(100), base_seed=base_seed))
+    results.append(embedding_ensemble(METHOD_SAMPLING, seeds=s(100), base_seed=base_seed))
+    results.append(embedding_ensemble(METHOD_PROJECTION, seeds=s(100), base_seed=base_seed))
     results.append(relative_error_ensemble(METHOD_SAMPLING, size=256, seeds=s(100), base_seed=base_seed))
     results.append(relative_error_ensemble(METHOD_PROJECTION, size=128, seeds=s(100), base_seed=base_seed))
     results.append(gram_error_ensemble(seeds=s(50), base_seed=base_seed))

@@ -2,7 +2,8 @@
 
 QR-based exact least squares, thin orthonormal bases, singular values of
 tall-thin matrices via a Jacobi eigensolve of the Gram matrix, spectral
-norms of symmetric matrices by power iteration, and orthogonal projections.
+norms of symmetric matrices by an exact symmetric eigensolve, and
+orthogonal projections.
 
 All functions are pure: inputs are validated (finite entries, compatible
 shapes) and never mutated, so concurrent calls on shared arrays are safe.
@@ -14,7 +15,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConvergenceFailure, DimensionMismatch, RankDeficient
-from .rng import stream
 
 # Relative floor on the R diagonal below which a matrix is treated as
 # rank deficient. Hard error by design: no pseudo-rank fallback.
@@ -179,31 +179,16 @@ def gram_singular_values(m) -> np.ndarray:
     return np.sqrt(np.sort(eig)[::-1])
 
 
-def spectral_norm_sym(m, tol: float = 1e-6, max_iter: int = 1000) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration.
-
-    Starts from a fixed seeded random vector and stops when the Rayleigh-like
-    estimate ||M v|| changes by less than `tol` relatively.
-    """
+def spectral_norm_sym(m) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, from the full
+    symmetric eigensolve (LAPACK via `np.linalg.eigvalsh`)."""
     m = as_matrix(m)
     n, d = m.shape
     if n != d:
         raise DimensionMismatch(f"matrix must be square, got {n} x {d}")
     if np.abs(m - m.T).max() > 1e-10:
         raise DimensionMismatch("matrix must be symmetric within 1e-10")
-    v = stream(0, "spectral-norm-start").standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        if abs(nw - est) <= tol * nw:
-            return nw
-        est = nw
-        v = w / nw
-    raise ConvergenceFailure(f"power iteration did not settle in {max_iter} iterations")
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
 
 
 def project_out(u, b) -> np.ndarray:

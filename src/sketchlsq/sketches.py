@@ -9,7 +9,7 @@ and flag that they did; experiments normally run with the practical sizes.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -154,6 +154,25 @@ class SketchParams:
         k = min(n, math.ceil(_PRACTICAL_K_FACTOR * d / eps))
         q = min(1.0, _q_expression(n, d, _PRACTICAL_C_Q))
         return cls(epsilon=eps, r=r, k=k, q=q, mode=MODE_OVERRIDE)
+
+    @classmethod
+    def with_overrides(
+        cls,
+        n: int,
+        d: int,
+        eps: float,
+        theory: bool = False,
+        r: Optional[int] = None,
+        k: Optional[int] = None,
+        q: Optional[float] = None,
+    ) -> "SketchParams":
+        """The closed-form sizes when `theory` is set; otherwise the
+        practical sizes, with each of r, k and q that is not None in place
+        of its practical value."""
+        if theory:
+            return cls.theory(n, d, eps)
+        given = {key: v for key, v in (("r", r), ("k", k), ("q", q)) if v is not None}
+        return replace(cls.practical(n, d, eps), **given)
 
 
 @dataclass(frozen=True)

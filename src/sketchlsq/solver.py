@@ -1,11 +1,21 @@
-"""Sketch-and-solve pipelines and structural-condition diagnostics.
+"""Sketch-and-solve pipeline and structural-condition diagnostics.
 
-Both pipelines precondition (A, b) with the randomized Hadamard transform
-and solve the small induced problem exactly. The sampling pipeline never
-materializes the full transformed matrix: it draws its row indices first
-and evaluates only those rows. Diagnostics (opt-in, O(n d^2)) measure the
-two structural conditions that make the small solution a relative-error
-approximation of the full one:
+Both methods run one pipeline: zero-pad [A | b] to a power-of-two row
+count, draw the random signs D and the sketch X, apply the randomized
+Hadamard transform H D, apply X, and solve the small induced problem
+exactly. The methods differ only in X: `sketch_solve_sampling` samples r
+rows uniformly and rescales them by sqrt(n/r), evaluating only those rows
+of the transform; `sketch_solve_projection` multiplies by a sparse k x n
+projection. `SketchOutcome.timings` has the same phases for both:
+
+  - "transform": the sign and sketch draws plus H D [A | b] (only the
+    sampled rows of it when sampling),
+  - "sketch-apply": the rescale, or the sparse product,
+  - "small-solve": the exact solve of the sketched problem,
+  - "total": the whole call, padding, residual and diagnostics included.
+
+Diagnostics (opt-in, O(n d^2)) measure the two structural conditions that
+make the small solution a relative-error approximation of the full one:
 
   - subspace embedding: every singular value of X U satisfies
     sigma^2 >= 1/sqrt(2), and
@@ -14,12 +24,17 @@ approximation of the full one:
 where U is an orthonormal basis of range(A), b_perp the out-of-range part
 of b, and Z the optimal residual. When both hold, the residual and
 forward-error bounds follow deterministically.
+
+Keep every hadamard, sketches and linalg call a lookup of this module's
+globals at call time: the benchmark's spans and the tests wrap or replace
+those names here, and a call bound any other way would escape them
+silently.
 """
 
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +51,7 @@ from .hadamard import (
     PaddedProblem,
     SignDiagonal,
     apply_rht,
-    next_pow2,
+    pad_pow2,
     partial_rht_rows,
     sample_signs,
 )
@@ -253,34 +268,27 @@ def _small_solve(m, v, small_solver: str) -> np.ndarray:
     raise InvalidSpec(f"unknown small solver {small_solver!r}")
 
 
-def _padded_stack(problem: LsProblem) -> tuple[PaddedProblem, np.ndarray]:
-    """Zero-padded [A | b] in one allocation; the PaddedProblem fields are
-    views into the stacked array."""
-    m = next_pow2(problem.n)
-    stacked = np.zeros((m, problem.d + 1))
-    stacked[: problem.n, : problem.d] = problem.a
-    stacked[: problem.n, problem.d] = problem.b
-    pad = PaddedProblem(
-        original_n=problem.n,
-        padded_n=m,
-        a_pad=stacked[:, :-1],
-        b_pad=stacked[:, -1],
-    )
-    return pad, stacked
+def _transform(op, m, d_signs: SignDiagonal) -> np.ndarray:
+    """H D m, evaluated only at the plan's rows when `op` samples."""
+    if isinstance(op, SamplingPlan):
+        return partial_rht_rows(m, d_signs, op.indices)
+    return apply_rht(m, d_signs)
 
 
-def _diagnostics_sampling(
-    problem: LsProblem,
-    pad: PaddedProblem,
-    d_signs: SignDiagonal,
-    plan: SamplingPlan,
-    eps: float,
+def _apply(op, hd: np.ndarray) -> np.ndarray:
+    """The sketch `op` applied to the output of `_transform`."""
+    if isinstance(op, SamplingPlan):
+        return hd * op.scale
+    return apply_sparse_projection(op, hd)
+
+
+def _diagnostics(
+    problem: LsProblem, pad: PaddedProblem, d_signs: SignDiagonal, op, eps: float
 ) -> Diagnostics:
     u = orthonormal_basis(pad.a_pad)
     bperp = project_out(u, pad.b_pad)
     z = float(np.linalg.norm(bperp))
-    both = partial_rht_rows(np.column_stack([u, bperp]), d_signs, plan.indices)
-    both = both * plan.scale
+    both = _apply(op, _transform(op, np.column_stack([u, bperp]), d_signs))
     check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
     return Diagnostics(
         sigma_xu=check.sigma_xu,
@@ -293,27 +301,72 @@ def _diagnostics_sampling(
     )
 
 
-def _diagnostics_projection(
+def _sketch_solve(
     problem: LsProblem,
-    pad: PaddedProblem,
-    d_signs: SignDiagonal,
-    proj: SparseProjection,
-    eps: float,
-) -> Diagnostics:
-    u = orthonormal_basis(pad.a_pad)
-    bperp = project_out(u, pad.b_pad)
-    z = float(np.linalg.norm(bperp))
-    hd = apply_rht(np.column_stack([u, bperp]), d_signs)
-    both = apply_sparse_projection(proj, hd)
-    check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
-    return Diagnostics(
-        sigma_xu=check.sigma_xu,
-        cross_term=check.cross_term,
-        z=z,
-        gamma=gamma_fraction(u, pad.b_pad),
-        kappa=condition_number(problem.a),
-        embedding_ok=check.embedding_ok,
-        cross_term_ok=check.cross_term_ok,
+    params: SketchParams,
+    seed: int,
+    method: str,
+    draw: Callable[[int, str], object],
+    draw_label: str,
+    op,
+    *,
+    diagnostics: bool,
+    small_solver: str,
+    signs: Optional[SignDiagonal],
+    z_exact: Optional[float],
+    stream_prefix: str,
+) -> SketchOutcome:
+    """The pipeline behind both public solves: pad, draw the signs and the
+    sketch, transform, apply the sketch, solve the small problem.
+
+    `draw(padded_n, label)` draws the sketch unless `op` injects one. If the
+    sketched matrix loses rank, the solve retries once on the `:1` streams,
+    then fails; an injected sketch or injected signs never retry.
+    """
+    timings: dict = {}
+    t_start = time.perf_counter()
+    pad = pad_pow2(problem.a, problem.b)
+    injected = op is not None or signs is not None
+    retries = 0
+    for attempt in range(2):
+        t0 = time.perf_counter()
+        d_signs = signs if (signs is not None and attempt == 0) else sample_signs(
+            pad.padded_n, seed, label=f"{stream_prefix}signs:{attempt}"
+        )
+        the_op = op if (op is not None and attempt == 0) else draw(
+            pad.padded_n, f"{stream_prefix}{draw_label}:{attempt}"
+        )
+        hd = _transform(the_op, pad.stacked, d_signs)
+        t1 = time.perf_counter()
+        sketched = _apply(the_op, hd)
+        t2 = time.perf_counter()
+        try:
+            x = _small_solve(sketched[:, :-1], sketched[:, -1], small_solver)
+        except RankDeficient:
+            if injected or attempt == 1:
+                raise
+            retries += 1
+            continue
+        t3 = time.perf_counter()
+        timings["transform"] = t1 - t0
+        timings["sketch-apply"] = t2 - t1
+        timings["small-solve"] = t3 - t2
+        break
+    residual = float(np.linalg.norm(problem.a @ x - problem.b))
+    diag = (
+        _diagnostics(problem, pad, d_signs, the_op, params.epsilon) if diagnostics else None
+    )
+    timings["total"] = time.perf_counter() - t_start
+    return SketchOutcome(
+        x_tilde=x,
+        residual_tilde=residual,
+        method=method,
+        params=params,
+        seed=int(seed),
+        timings=timings,
+        z_exact=z_exact,
+        diagnostics=diag,
+        retries=retries,
     )
 
 
@@ -341,63 +394,16 @@ def sketch_solve_sampling(
         raise InvalidSpec("params.r is required for the sampling pipeline")
     if params.r < problem.d:
         raise InvalidSpec(f"need r >= d, got r={params.r}, d={problem.d}")
-    if not 0.0 < params.epsilon < 1.0:
-        raise InvalidEpsilon(f"sampling needs eps in (0, 1), got {params.epsilon}")
-    timings: dict = {}
-    t_start = time.perf_counter()
-    pad, stacked = _padded_stack(problem)
-    injected = plan is not None or signs is not None
-    retries = 0
-    last_error: Optional[RankDeficient] = None
-    for attempt in range(2):
-        t0 = time.perf_counter()
-        d_signs = signs if (signs is not None and attempt == 0) else sample_signs(
-            pad.padded_n, seed, label=f"{stream_prefix}signs:{attempt}"
-        )
-        if plan is not None and attempt == 0:
-            the_plan = plan
-        elif params.r >= pad.padded_n:
-            the_plan = identity_plan(pad.padded_n)
-        else:
-            the_plan = draw_sampling_plan(
-                pad.padded_n, params.r, seed, label=f"{stream_prefix}plan:{attempt}"
-            )
-        sub = partial_rht_rows(stacked, d_signs, the_plan.indices)
-        t1 = time.perf_counter()
-        sketched = sub * the_plan.scale
-        t2 = time.perf_counter()
-        try:
-            x = _small_solve(sketched[:, :-1], sketched[:, -1], small_solver)
-        except RankDeficient as exc:
-            last_error = exc
-            if injected or attempt == 1:
-                raise
-            retries += 1
-            continue
-        t3 = time.perf_counter()
-        timings["transform"] = t1 - t0
-        timings["sketch-apply"] = t2 - t1
-        timings["small-solve"] = t3 - t2
-        break
-    else:  # pragma: no cover - loop always breaks or raises
-        raise last_error
-    residual = float(np.linalg.norm(problem.a @ x - problem.b))
-    diag = (
-        _diagnostics_sampling(problem, pad, d_signs, the_plan, params.epsilon)
-        if diagnostics
-        else None
-    )
-    timings["total"] = time.perf_counter() - t_start
-    return SketchOutcome(
-        x_tilde=x,
-        residual_tilde=residual,
-        method=METHOD_SAMPLING,
-        params=params,
-        seed=int(seed),
-        timings=timings,
-        z_exact=z_exact,
-        diagnostics=diag,
-        retries=retries,
+
+    def draw(padded_n: int, label: str) -> SamplingPlan:
+        if params.r >= padded_n:
+            return identity_plan(padded_n)
+        return draw_sampling_plan(padded_n, params.r, seed, label=label)
+
+    return _sketch_solve(
+        problem, params, seed, METHOD_SAMPLING, draw, "plan", plan,
+        diagnostics=diagnostics, small_solver=small_solver, signs=signs,
+        z_exact=z_exact, stream_prefix=stream_prefix,
     )
 
 
@@ -420,55 +426,14 @@ def sketch_solve_projection(
         raise InvalidSpec(f"need k >= d, got k={params.k}, d={problem.d}")
     # The (0, 1/2) range belongs to the closed-form size formula; the
     # pipeline itself runs for any eps in (0, 1) (SketchParams enforces it).
-    timings: dict = {}
-    t_start = time.perf_counter()
-    pad, stacked = _padded_stack(problem)
-    injected = projection is not None or signs is not None
-    retries = 0
-    for attempt in range(2):
-        t0 = time.perf_counter()
-        d_signs = signs if (signs is not None and attempt == 0) else sample_signs(
-            pad.padded_n, seed, label=f"{stream_prefix}signs:{attempt}"
-        )
-        hd = apply_rht(stacked, d_signs)
-        t1 = time.perf_counter()
-        proj = projection if (projection is not None and attempt == 0) else (
-            draw_sparse_projection(
-                params.k, pad.padded_n, params.q, seed,
-                label=f"{stream_prefix}projection:{attempt}",
-            )
-        )
-        sketched = apply_sparse_projection(proj, hd)
-        t2 = time.perf_counter()
-        try:
-            x = _small_solve(sketched[:, :-1], sketched[:, -1], small_solver)
-        except RankDeficient:
-            if injected or attempt == 1:
-                raise
-            retries += 1
-            continue
-        t3 = time.perf_counter()
-        timings["transform"] = t1 - t0
-        timings["sketch-apply"] = t2 - t1
-        timings["small-solve"] = t3 - t2
-        break
-    residual = float(np.linalg.norm(problem.a @ x - problem.b))
-    diag = (
-        _diagnostics_projection(problem, pad, d_signs, proj, params.epsilon)
-        if diagnostics
-        else None
-    )
-    timings["total"] = time.perf_counter() - t_start
-    return SketchOutcome(
-        x_tilde=x,
-        residual_tilde=residual,
-        method=METHOD_PROJECTION,
-        params=params,
-        seed=int(seed),
-        timings=timings,
-        z_exact=z_exact,
-        diagnostics=diag,
-        retries=retries,
+
+    def draw(padded_n: int, label: str) -> SparseProjection:
+        return draw_sparse_projection(params.k, padded_n, params.q, seed, label=label)
+
+    return _sketch_solve(
+        problem, params, seed, METHOD_PROJECTION, draw, "projection", projection,
+        diagnostics=diagnostics, small_solver=small_solver, signs=signs,
+        z_exact=z_exact, stream_prefix=stream_prefix,
     )
 
 

@@ -143,6 +143,17 @@ def test_spectral_norm_all_ones():
     assert spectral_norm_sym(np.ones((3, 3))) == pytest.approx(3.0, rel=1e-6)
 
 
+def test_spectral_norm_small_eigengap_oracle():
+    # Known spectrum in a random orthonormal basis, with the top two
+    # eigenvalues 1% apart: an iteration stopped on a small step change
+    # reports well under 1 here.
+    q = orthonormal_basis(np.random.default_rng(21).standard_normal((8, 8)))
+    eigenvalues = np.array([1.0, -0.99, 0.9, 0.5, 0.3, -0.2, 0.1, 0.0])
+    m = (q * eigenvalues) @ q.T
+    m = (m + m.T) / 2.0
+    assert abs(spectral_norm_sym(m) - 1.0) <= 1e-12
+
+
 def test_spectral_norm_requires_symmetry():
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(DimensionMismatch):

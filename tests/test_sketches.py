@@ -107,6 +107,19 @@ def test_practical_params_desk_scale():
     assert params.q == 1.0
 
 
+def test_with_overrides_replaces_only_given_sizes():
+    practical = SketchParams.practical(1024, 8, 0.5)
+    assert SketchParams.with_overrides(1024, 8, 0.5) == practical
+    params = SketchParams.with_overrides(1024, 8, 0.5, k=100, q=0.25)
+    assert (params.r, params.k, params.q) == (practical.r, 100, 0.25)
+    assert params.mode == practical.mode
+    # Theory sizes ignore the overrides.
+    theory = SketchParams.with_overrides(1024, 8, 0.25, theory=True, r=50)
+    assert theory == SketchParams.theory(1024, 8, 0.25)
+    with pytest.raises(InvalidSparsity):
+        SketchParams.with_overrides(1024, 8, 0.5, q=2.0)
+
+
 def test_sketch_params_validation():
     with pytest.raises(InvalidEpsilon):
         SketchParams(epsilon=1.5)

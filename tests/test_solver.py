@@ -14,7 +14,7 @@ from sketchlsq.errors import (
 )
 from sketchlsq.linalg import orthonormal_basis, project_out, solve_exact_ls
 from sketchlsq.problems import KIND_GAUSSIAN, ProblemSpec, gen_problem
-from sketchlsq.sketches import SamplingPlan, SketchParams, identity_plan
+from sketchlsq.sketches import SamplingPlan, SketchParams, SparseProjection, identity_plan
 from sketchlsq.solver import (
     LsProblem,
     cgnr_solve,
@@ -298,6 +298,50 @@ def test_injected_plan_failure_does_not_retry(gaussian_problem):
     )
     with pytest.raises(RankDeficient):
         sketch_solve_sampling(gaussian_problem, _params(r=64), 18, plan=bad)
+
+
+def _zero_projection(k, n, q, seed, label):
+    empty_i = np.empty(0, dtype=np.int32)
+    return SparseProjection(
+        k=k, n=n, q=q, rows=empty_i, cols=empty_i, signs=np.empty(0),
+        magnitude=1.0 / math.sqrt(k * q), seed=seed, label=label,
+    )
+
+
+def test_projection_retry_once_on_rank_loss(gaussian_problem, monkeypatch):
+    real_draw = solver_mod.draw_sparse_projection
+    labels = []
+
+    def zero_first(k, n, q, seed, label="sparse-projection"):
+        labels.append(label)
+        if label.endswith(":0"):
+            # No nonzero cell: the sketched matrix is all zeros.
+            return _zero_projection(k, n, q, seed, label)
+        return real_draw(k, n, q, seed, label)
+
+    monkeypatch.setattr(solver_mod, "draw_sparse_projection", zero_first)
+    out = sketch_solve_projection(gaussian_problem, _params(q=0.5), 16)
+    assert out.retries == 1
+    assert labels == ["projection:0", "projection:1"]
+    assert out.residual_tilde < np.linalg.norm(gaussian_problem.b)
+
+
+def test_injected_projection_failure_does_not_retry(gaussian_problem, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(
+        solver_mod, "draw_sparse_projection", lambda *args, **kw: drawn.append(args)
+    )
+    bad = _zero_projection(128, 1024, 0.5, 18, "injected")
+    with pytest.raises(RankDeficient):
+        sketch_solve_projection(gaussian_problem, _params(q=0.5), 18, projection=bad)
+    assert drawn == []
+
+
+def test_both_methods_report_the_same_timings(gaussian_problem):
+    sampled = sketch_solve_sampling(gaussian_problem, _params(), 22)
+    projected = sketch_solve_projection(gaussian_problem, _params(), 22)
+    phases = {"transform", "sketch-apply", "small-solve", "total"}
+    assert set(sampled.timings) == set(projected.timings) == phases
 
 
 def test_amplification_trials():
