@@ -10,13 +10,20 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import InvalidSpec
 
 
 def stream(seed: int, label: str = "") -> np.random.Generator:
-    """Return the generator for the stream identified by (seed, label)."""
+    """Return the generator for the stream identified by (seed, label).
+
+    The seed must lie in [0, 2^64): a seed outside it would alias one
+    inside it, so it raises `InvalidSpec` instead.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise InvalidSpec(f"seed must lie in [0, 2^64), got {seed}")
     word = int.from_bytes(
         hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little"
     )
-    key = (int(seed) & _MASK64) | (word << 64)
+    key = seed | (word << 64)
     return np.random.Generator(np.random.Philox(key=key))

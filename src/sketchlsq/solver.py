@@ -467,8 +467,9 @@ def sketch_solve_best_of(
         raise InvalidSpec(f"unknown method {method!r}")
     if m == 1:
         return pipeline(problem, params, seed, **kwargs)
+    prefix = kwargs.pop("stream_prefix", "")
     outcomes = [
-        pipeline(problem, params, seed, stream_prefix=f"bestof{t}/", **kwargs)
+        pipeline(problem, params, seed, stream_prefix=f"{prefix}bestof{t}/", **kwargs)
         for t in range(m)
     ]
     best = min(range(m), key=lambda t: outcomes[t].residual_tilde)

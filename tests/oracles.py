@@ -2,8 +2,9 @@
 
 Deliberately naive and independent of the library's own solve paths:
 Gaussian elimination for the normal equations, characteristic-polynomial
-coefficients via the trace recurrence for singular values, and triple-loop
-products for sparse operators.
+coefficients via the trace recurrence for singular values, triple-loop
+products for sparse operators, and the plain stage-by-stage Hadamard
+butterfly.
 """
 
 import numpy as np
@@ -74,3 +75,56 @@ def dense_projection_product(t_dense, m):
             for c in range(d):
                 out[i, c] += t_dense[i, j] * m[j, c]
     return out
+
+
+def reference_butterfly(work):
+    """Unnormalized Hadamard butterfly along axis 0, in place, one full pass
+    per stage: stride n/2, n/4, ..., 1, each block updated as
+    (top + bottom, top - bottom)."""
+    n, d = work.shape
+    h = n // 2
+    while h >= 1:
+        w = work.reshape(-1, 2, h, d)
+        t = w[:, 0] + w[:, 1]
+        u = w[:, 0] - w[:, 1]
+        w[:, 0] = t
+        w[:, 1] = u
+        h //= 2
+
+
+def counted_ops(transform, n, cols):
+    """Run `transform` on an (n, cols) object array whose entries count
+    every addition and subtraction made on them. Returns the count and the
+    float values of the array, or of what `transform` returns."""
+    tally = [0]
+
+    class Counted:
+        __slots__ = ("v",)
+
+        def __init__(self, v):
+            self.v = v
+
+        def __add__(self, other):
+            tally[0] += 1
+            return Counted(self.v + other.v)
+
+        def __sub__(self, other):
+            tally[0] += 1
+            return Counted(self.v - other.v)
+
+    work = np.empty((n, cols), dtype=object)
+    for i in range(n):
+        for j in range(cols):
+            work[i, j] = Counted(float(i * cols + j))
+    result = transform(work)
+    values = work if result is None else result
+    return tally[0], np.vectorize(lambda c: c.v, otypes=[float])(values)
+
+
+def reference_rht(a, signs):
+    """H D a with the reference butterfly, the operations of `apply_rht` in
+    the same order."""
+    work = np.asarray(a, dtype=np.float64) * signs[:, None]
+    reference_butterfly(work)
+    work *= 1.0 / np.sqrt(work.shape[0])
+    return work

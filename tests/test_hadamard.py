@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sketchlsq.errors import DimensionMismatch, IndexOutOfRange, NotPowerOfTwo
+from oracles import counted_ops, reference_butterfly, reference_rht
+from sketchlsq import hadamard
+from sketchlsq.errors import DimensionMismatch, IndexOutOfRange, InvalidSpec, NotPowerOfTwo
 from sketchlsq.hadamard import (
     apply_rht,
     fwht_normalized,
@@ -11,6 +13,7 @@ from sketchlsq.hadamard import (
     sample_signs,
 )
 from sketchlsq.linalg import solve_exact_ls
+from sketchlsq.rng import stream
 
 
 def test_fwht_two_point():
@@ -109,6 +112,68 @@ def test_partial_matches_slice_bit_exact(count):
     assert np.array_equal(part, full[rows])
 
 
+def _row_sets(n, rows_per_block, rng):
+    """Named row requests covering the shapes the blocked paths treat apart."""
+    edge = np.arange(rows_per_block, n, rows_per_block)
+    return {
+        "single": [n // 3],
+        "ends": [0, n - 1],
+        "one-block": np.arange(min(n, rows_per_block))[::-3],
+        "block-edges": np.unique(np.concatenate([edge - 1, edge])) if edge.size else [0, n - 1],
+        "duplicates": [n - 1, 0, n - 1, n // 2, 0, n // 2],
+        "fallback": rng.integers(0, n, size=n // 2 + 1),
+    }
+
+
+@pytest.mark.parametrize("block", [16, 256])
+@pytest.mark.parametrize("d", [1, 3, 31])
+@pytest.mark.parametrize("n", [2, 8, 64, 1024, 4096])
+def test_blocked_transform_matches_reference_bit_exact(monkeypatch, n, d, block):
+    monkeypatch.setattr(hadamard, "_BLOCK", block)
+    rng = np.random.default_rng(n * 100 + d)
+    a = rng.standard_normal((n, d))
+    signs = sample_signs(n, n + d)
+    expected = reference_rht(a, signs.signs)
+    assert np.array_equal(apply_rht(a, signs), expected)
+    unscaled = a * signs.signs[:, None]
+    reference_butterfly(unscaled)
+    rows_per_block = hadamard._blocking(n, d)[0]
+    for name, rows in _row_sets(n, rows_per_block, rng).items():
+        rows = np.asarray(rows) % n
+        assert np.array_equal(partial_rht_rows(a, signs, rows), expected[rows]), name
+        # Also the pruned descent itself, past the fallback threshold.
+        wanted = np.unique(rows)
+        pruned = hadamard._pruned_rows(a * signs.signs[:, None], wanted)
+        assert np.array_equal(pruned, unscaled[wanted]), name
+
+
+def test_blocked_transform_above_real_block_size():
+    n, d = 2**15, 9
+    assert n * d > hadamard._BLOCK
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((n, d))
+    signs = sample_signs(n, 15)
+    expected = reference_rht(a, signs.signs)
+    assert np.array_equal(apply_rht(a, signs), expected)
+    for rows in ([n // 3], rng.integers(0, n, size=500), rng.integers(0, n // 8, size=300)):
+        assert np.array_equal(partial_rht_rows(a, signs, rows), expected[rows])
+
+
+def test_blocked_transform_operation_count(monkeypatch):
+    monkeypatch.setattr(hadamard, "_BLOCK", 16)
+    n, cols = 64, 3
+    plain = np.arange(n * cols, dtype=np.float64).reshape(n, cols)
+    reference_butterfly(plain)
+    count, values = counted_ops(hadamard._butterfly, n, cols)
+    assert count == n * cols * 6
+    assert np.array_equal(values, plain)
+    wanted = np.array([0, 5, 12, 37, 63])
+    count, values = counted_ops(lambda w: hadamard._pruned_rows(w, wanted), n, cols)
+    live = sum(np.unique(wanted // m).size * m for m in (64, 32, 16, 8, 4, 2))
+    assert count == live * cols
+    assert np.array_equal(values, plain[wanted])
+
+
 def test_partial_vector_input():
     rng = np.random.default_rng(6)
     b = rng.standard_normal(512)
@@ -171,6 +236,20 @@ def test_sample_signs_deterministic():
     s2 = sample_signs(1000, 42)
     assert np.array_equal(s1.signs, s2.signs)
     assert not np.array_equal(s1.signs, sample_signs(1000, 43).signs)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_raises(seed):
+    with pytest.raises(InvalidSpec):
+        stream(seed, "signs")
+    with pytest.raises(InvalidSpec):
+        sample_signs(8, seed)
+
+
+def test_largest_64_bit_seed_draws():
+    top = sample_signs(1000, 2**64 - 1)
+    assert np.array_equal(top.signs, sample_signs(1000, np.uint64(2**64 - 1)).signs)
+    assert not np.array_equal(top.signs, sample_signs(1000, 0).signs)
 
 
 def test_sample_signs_values():

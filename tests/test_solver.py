@@ -368,6 +368,17 @@ def test_best_of_takes_minimum(gaussian_problem):
     assert best.residual_tilde >= z - 1e-10
 
 
+def test_best_of_nests_trials_under_the_caller_prefix(gaussian_problem):
+    singles = [
+        sketch_solve_sampling(gaussian_problem, _params(), 21, stream_prefix=f"x/bestof{t}/")
+        for t in range(2)
+    ]
+    best = sketch_solve_best_of(gaussian_problem, _params(), 21, m=2, stream_prefix="x/")
+    expected = min(singles, key=lambda o: o.residual_tilde)
+    assert best.x_tilde.tobytes() == expected.x_tilde.tobytes()
+    assert best.residual_tilde == expected.residual_tilde
+
+
 def test_best_of_single_equals_plain(gaussian_problem):
     plain = sketch_solve_sampling(gaussian_problem, _params(), 20)
     wrapped = sketch_solve_best_of(gaussian_problem, _params(), 20, m=1)
