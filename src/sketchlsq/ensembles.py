@@ -267,11 +267,13 @@ def moment_bound(
         x, y = _moment_pair(n, q, base_seed + 1000 * pair_idx)
         target = float(x @ y)
         bound = (2.0 / k) * 1.0 * 1.0 + (1.0 / (k * q)) * float(np.sum(x**2 * y**2))
+        xy = np.column_stack([x, y])
         deltas = np.empty(seeds)
         for s in range(seeds):
             t = draw_sparse_projection(k, n, q, base_seed + s, label="ensemble/moment")
-            tx = apply_sparse_projection(t, x)
-            ty = apply_sparse_projection(t, y)
+            # One product for both vectors; each column sums in the same
+            # order as a product with that vector alone.
+            tx, ty = np.ascontiguousarray(apply_sparse_projection(t, xy).T)
             deltas[s] = float(tx @ ty) - target
         second = float(np.mean(deltas**2))
         se = float(np.std(deltas) / math.sqrt(seeds))

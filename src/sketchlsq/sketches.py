@@ -2,12 +2,12 @@
 
 Two operators reduce a preprocessed n-row problem to a small one: uniform
 row sampling with replacement (rescaled by sqrt(n/r)) and a sparse random
-projection whose nonzero cells are +-1/sqrt(kq). The closed-form sizes the
-theory asks for exceed n at desk scale, so the formula helpers clamp to n
-and flag that they did; experiments normally run with the practical sizes.
+projection whose nonzero cells are +-1/sqrt(kq), drawn a chunk of rows at
+a time straight into CSR form. The closed-form sizes the theory asks for
+exceed n at desk scale, so the formula helpers clamp to n and flag that
+they did; experiments normally run with the practical sizes.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -34,6 +34,10 @@ _PRACTICAL_C_Q = 0.1
 # Below this sparsity, drawing one uniform per cell wastes time; skip
 # ahead with geometric gaps instead.
 _SKIP_SAMPLING_Q = 0.02
+
+# Uniforms per chunk of whole rows in the projection draw (1 MB of
+# float64), so the draw never holds a k x n array.
+_CHUNK = 1 << 17
 
 
 class TheorySize(NamedTuple):
@@ -222,17 +226,19 @@ def apply_sampling(plan: SamplingPlan, m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseProjection:
-    """Sparse k x n projection stored as triplets.
+    """Sparse k x n projection stored in CSR form.
 
     Cells are nonzero independently with probability q; a nonzero is
-    +-1/sqrt(kq) with a fair sign. `signs` holds the +-1 factors and the
-    shared magnitude is stored once.
+    +-1/sqrt(kq) with a fair sign. Row i's nonzeros are at columns
+    cols[indptr[i]:indptr[i + 1]] (ascending in a drawn projection), with
+    the +-1 factors in the same slice of `signs`; the shared magnitude is
+    stored once.
     """
 
     k: int
     n: int
     q: float
-    rows: np.ndarray
+    indptr: np.ndarray
     cols: np.ndarray
     signs: np.ndarray
     magnitude: float
@@ -240,12 +246,27 @@ class SparseProjection:
     label: str = field(default="sparse-projection", compare=False)
 
     def __post_init__(self):
-        if not self.rows.shape == self.cols.shape == self.signs.shape:
-            raise InvalidSpec("triplet arrays must have equal length")
+        if self.indptr.shape != (self.k + 1,):
+            raise InvalidSpec(
+                f"indptr must have shape ({self.k + 1},), got {self.indptr.shape}"
+            )
+        if self.cols.ndim != 1 or self.cols.shape != self.signs.shape:
+            raise InvalidSpec("cols and signs must be 1-D of equal length")
+        if self.indptr[0] != 0 or self.indptr[-1] != self.cols.shape[0]:
+            raise InvalidSpec(f"indptr must run from 0 to {self.cols.shape[0]}")
+        if (self.indptr[1:] < self.indptr[:-1]).any():
+            raise InvalidSpec("indptr must be non-decreasing")
+        if self.cols.size and (self.cols.min() < 0 or self.cols.max() >= self.n):
+            raise InvalidSpec(f"cols must lie in [0, {self.n})")
 
     @property
     def nnz(self) -> int:
-        return int(self.rows.shape[0])
+        return int(self.cols.shape[0])
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of each nonzero, derived from `indptr`."""
+        return np.repeat(np.arange(self.k, dtype=np.int32), np.diff(self.indptr))
 
     @property
     def values(self) -> np.ndarray:
@@ -255,16 +276,6 @@ class SparseProjection:
         out = np.zeros((self.k, self.n))
         out[self.rows, self.cols] = self.values
         return out
-
-
-@functools.lru_cache(maxsize=4)
-def _dense_grid(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major coordinates of the full k x n grid, shared read-only."""
-    rows = np.repeat(np.arange(k, dtype=np.int32), n)
-    cols = np.tile(np.arange(n, dtype=np.int32), k)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
 
 
 def _draw_positions_sparse(rng: np.random.Generator, total: int, q: float) -> np.ndarray:
@@ -284,15 +295,25 @@ def _draw_positions_sparse(rng: np.random.Generator, total: int, q: float) -> np
     return np.concatenate(chunks).astype(np.int64)
 
 
+def _row_ends(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """End offset of each row's run in sorted row-major cell positions of a
+    rows x n block."""
+    return flat.searchsorted(np.arange(n, (rows + 1) * n, n))
+
+
 def draw_sparse_projection(
     k: int, n: int, q: float, seed: int, label: str = "sparse-projection"
 ) -> SparseProjection:
-    """Draw the k x n sparse projection for sparsity q.
+    """Draw the k x n sparse projection for sparsity q, straight into CSR.
 
     For moderate q each cell consumes one uniform variate in row-major
-    order (u < q/2 gives +, q/2 <= u < q gives -); for tiny q the nonzero
-    positions come from geometric skips. Both realize the same
-    distribution; draws are deterministic given (seed, label).
+    order (u < q/2 gives +, q/2 <= u < q gives -). The uniforms are drawn
+    a chunk of whole rows at a time, about `_CHUNK` cells per chunk, so the
+    k x n grid is never held; the order they are consumed in does not
+    depend on the chunk size. For tiny q the nonzero positions come from
+    geometric skips, and for q = 1 only the fair signs are random. All
+    realize the same distribution; draws are deterministic given
+    (seed, label).
     """
     if k < 1 or n < 1:
         raise DimensionMismatch(f"need k, n >= 1, got k={k}, n={n}")
@@ -301,51 +322,55 @@ def draw_sparse_projection(
     rng = stream(seed, label)
     magnitude = 1.0 / math.sqrt(k * q)
     if q == 1.0:
-        # Every cell is nonzero, so only the fair signs need randomness.
-        rows, cols = _dense_grid(k, n)
-        bits = rng.integers(0, 2, size=k * n, dtype=np.uint8)
-        signs = np.array([-1.0, 1.0])[bits]
+        # Each sign bit is the top bit of one byte of the raw stream, in
+        # order: exactly the bits rng.integers(0, 2, k * n, np.uint8) returns
+        # (Lemire's method on buffered bytes, which never rejects for two
+        # outcomes), without its per-byte loop.
+        raw = rng.bit_generator.random_raw(-(-k * n // 8)).astype("<u8", copy=False)
+        signs = (raw.view(np.uint8)[: k * n] >> 7) * 2.0
+        signs -= 1.0
+        ends = [np.arange(n, (k + 1) * n, n)]
+        cols = np.tile(np.arange(n, dtype=np.int32), k)
     elif q > _SKIP_SAMPLING_Q:
-        u = rng.random((k, n))
-        mask = u < q
-        rows_ix, cols_ix = np.nonzero(mask)
-        rows = rows_ix.astype(np.int32)
-        cols = cols_ix.astype(np.int32)
-        signs = np.where(u[mask] < q / 2.0, 1.0, -1.0)
+        step = max(1, _CHUNK // n)
+        ends, col_parts, sign_parts = [], [], []
+        done = 0
+        for first in range(0, k, step):
+            rows = min(step, k - first)
+            u = rng.random(rows * n)
+            flat = (u < q).nonzero()[0]
+            ends.append(_row_ends(flat, rows, n) + done)
+            col_parts.append(flat % n)
+            sign_parts.append(np.where(u[flat] < q / 2.0, 1.0, -1.0))
+            done += flat.shape[0]
+        cols = np.concatenate(col_parts, dtype=np.int32)
+        signs = np.concatenate(sign_parts)
     else:
         positions = _draw_positions_sparse(rng, k * n, q)
-        rows = (positions // n).astype(np.int32)
+        ends = [_row_ends(positions, k, n)]
         cols = (positions % n).astype(np.int32)
         signs = np.where(rng.random(positions.shape[0]) < 0.5, 1.0, -1.0)
+    # int32 row pointers, like the columns, unless nnz needs more: scipy
+    # then takes both as they are.
+    index = np.int32 if cols.shape[0] < 2**31 else np.int64
+    indptr = np.concatenate(([0], *ends), dtype=index)
     return SparseProjection(
-        k=k, n=n, q=q, rows=rows, cols=cols, signs=signs,
+        k=k, n=n, q=q, indptr=indptr, cols=cols, signs=signs,
         magnitude=magnitude, seed=int(seed), label=label,
     )
 
 
 def apply_sparse_projection(t: SparseProjection, m) -> np.ndarray:
-    """Product T m in O(nnz(T) * cols(m)) time."""
+    """Product T m in O(nnz(T) * cols(m)) time, for a vector or a matrix m.
+
+    Each row sums its nonzeros in ascending column order; a fully dense
+    draw (q = 1) goes through BLAS instead.
+    """
     m = np.asarray(m, dtype=np.float64)
-    was_vector = m.ndim == 1
-    if was_vector:
-        if m.shape[0] != t.n:
-            raise DimensionMismatch(
-                f"vector has length {m.shape[0]}, projection expects {t.n}"
-            )
-        if t.nnz == 0:
-            return np.zeros(t.k)
-        if t.nnz == t.k * t.n:
-            return (t.signs.reshape(t.k, t.n) @ m) * t.magnitude
-        gathered = t.signs * m[t.cols]
-        return np.bincount(t.rows, weights=gathered, minlength=t.k) * t.magnitude
-    if m.ndim != 2 or m.shape[0] != t.n:
-        raise DimensionMismatch(f"matrix has shape {m.shape}, projection expects {t.n} rows")
+    if m.ndim not in (1, 2) or m.shape[0] != t.n:
+        raise DimensionMismatch(f"operand has shape {m.shape}, projection expects {t.n} rows")
     if t.nnz == t.k * t.n:
-        # Fully dense draw (q = 1): triplets cover the grid in row-major order.
-        out = (t.signs.reshape(t.k, t.n) @ m) * t.magnitude
-    elif t.nnz == 0:
-        out = np.zeros((t.k, m.shape[1]))
-    else:
-        sp = scipy.sparse.csr_matrix((t.signs, (t.rows, t.cols)), shape=(t.k, t.n))
-        out = (sp @ m) * t.magnitude
-    return out
+        # The signs fill the grid in row-major order.
+        return (t.signs.reshape(t.k, t.n) @ m) * t.magnitude
+    sp = scipy.sparse.csr_matrix((t.signs, t.cols, t.indptr), shape=(t.k, t.n))
+    return (sp @ m) * t.magnitude

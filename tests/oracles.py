@@ -3,11 +3,14 @@
 Deliberately naive and independent of the library's own solve paths:
 Gaussian elimination for the normal equations, characteristic-polynomial
 coefficients via the trace recurrence for singular values, triple-loop
-products for sparse operators, and the plain stage-by-stage Hadamard
-butterfly.
+products for sparse operators, the plain stage-by-stage Hadamard
+butterfly, and the triplet sparse-projection draw and product.
 """
 
 import numpy as np
+import scipy.sparse
+
+from sketchlsq.rng import stream
 
 
 def gaussian_solve(m, rhs):
@@ -128,3 +131,48 @@ def reference_rht(a, signs):
     reference_butterfly(work)
     work *= 1.0 / np.sqrt(work.shape[0])
     return work
+
+
+def reference_sparse_projection(k, n, q, seed, label="sparse-projection"):
+    """COO triplets (rows, cols, signs) of the k x n sparse projection, drawn
+    the plain way: for q = 1 a fair sign bit per cell; for 0.02 < q < 1 one
+    k x n grid of uniforms, row-major (u < q/2 gives +, q/2 <= u < q
+    gives -); below that, geometric gaps between nonzero cells, then one
+    uniform per sign."""
+    rng = stream(seed, label)
+    if q == 1.0:
+        rows = np.repeat(np.arange(k, dtype=np.int32), n)
+        cols = np.tile(np.arange(n, dtype=np.int32), k)
+        bits = rng.integers(0, 2, size=k * n, dtype=np.uint8)
+        return rows, cols, np.array([-1.0, 1.0])[bits]
+    if q > 0.02:
+        u = rng.random((k, n))
+        mask = u < q
+        rows, cols = np.nonzero(mask)
+        signs = np.where(u[mask] < q / 2.0, 1.0, -1.0)
+        return rows.astype(np.int32), cols.astype(np.int32), signs
+    total = k * n
+    chunks = []
+    pos = -1
+    while pos < total - 1:
+        gaps = rng.geometric(q, size=max(16, int((total - 1 - pos) * q * 1.2) + 16))
+        cum = pos + np.cumsum(gaps)
+        chunks.append(cum[cum < total])
+        pos = int(cum[-1])
+    positions = np.concatenate(chunks).astype(np.int64)
+    signs = np.where(rng.random(positions.shape[0]) < 0.5, 1.0, -1.0)
+    return (positions // n).astype(np.int32), (positions % n).astype(np.int32), signs
+
+
+def reference_projection_product(k, n, rows, cols, signs, magnitude, m):
+    """T m for T given as triplets, by the plain product's operations: BLAS
+    on the sign grid when every cell is nonzero, otherwise a bincount of
+    the signed entries for a vector and a COO -> CSR product for a matrix,
+    times the magnitude."""
+    m = np.asarray(m, dtype=np.float64)
+    if rows.shape[0] == k * n:
+        return (signs.reshape(k, n) @ m) * magnitude
+    if m.ndim == 1:
+        return np.bincount(rows, weights=signs * m[cols], minlength=k) * magnitude
+    sp = scipy.sparse.csr_matrix((signs, (rows, cols)), shape=(k, n))
+    return (sp @ m) * magnitude

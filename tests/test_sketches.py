@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+
+import sketchlsq.sketches as sketches
 
 from sketchlsq.errors import (
     DimensionMismatch,
@@ -21,7 +24,11 @@ from sketchlsq.sketches import (
     projection_params,
     sampling_size_r,
 )
-from oracles import dense_projection_product
+from oracles import (
+    dense_projection_product,
+    reference_projection_product,
+    reference_sparse_projection,
+)
 
 
 # --- size formulas ---------------------------------------------------------
@@ -260,7 +267,7 @@ def test_apply_sparse_single_triplet():
     t = draw_sparse_projection(3, 3, 0.2, 1)
     t = type(t)(
         k=3, n=3, q=0.2,
-        rows=np.array([0], dtype=np.int32),
+        indptr=np.array([0, 1, 1, 1], dtype=np.int32),
         cols=np.array([0], dtype=np.int32),
         signs=np.array([1.0]),
         magnitude=t.magnitude,
@@ -308,6 +315,80 @@ def test_apply_sparse_dimension_mismatch():
     t = draw_sparse_projection(4, 8, 0.5, 0)
     with pytest.raises(DimensionMismatch):
         apply_sparse_projection(t, np.ones(9))
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 1025, 2**12])
+@pytest.mark.parametrize("k", [1, 7, 160])
+@pytest.mark.parametrize("q", [0.015, 0.2, 0.5, 1.0])
+def test_csr_draw_matches_triplet_reference_bit_exact(monkeypatch, q, k, n):
+    # Chunks of 1, 3 and 11 rows put a boundary after every row, leave a
+    # partial last chunk (neither 3 nor 11 divides 7 or 160), and the real
+    # chunk size covers the single-chunk case.
+    rows, cols, signs = reference_sparse_projection(k, n, q, 17)
+    rng = np.random.default_rng(k * n)
+    m = rng.standard_normal((n, 5))
+    magnitude = 1.0 / math.sqrt(k * q)
+    want_mat = reference_projection_product(k, n, rows, cols, signs, magnitude, m)
+    want_vec = reference_projection_product(k, n, rows, cols, signs, magnitude, m[:, 0])
+    for chunk in (1, 3 * n, 11 * n, sketches._CHUNK):
+        monkeypatch.setattr(sketches, "_CHUNK", chunk)
+        t = draw_sparse_projection(k, n, q, 17)
+        assert np.array_equal(t.rows, rows)
+        assert np.array_equal(t.cols, cols)
+        assert np.array_equal(t.signs, signs)
+        assert t.magnitude == magnitude
+        assert np.array_equal(apply_sparse_projection(t, m), want_mat)
+        assert np.array_equal(apply_sparse_projection(t, m[:, 0]), want_vec)
+
+
+# SHA-256 of (indptr as int64, cols as int32, signs as float64) for three
+# draws, computed with the triplet draw (one k x n grid of uniforms, indptr
+# from its per-row counts) before the draw moved to row chunks and CSR. A
+# change here re-rolls every projection ensemble, so it must be deliberate.
+_PINNED_DRAWS = [
+    ((64, 256, 0.2, 5), "9d519649293f726c944929174cbaf8f68d177c234e03c40ed8a381a9e4b1b3f7"),
+    ((64, 512, 0.01, 0), "b2beec3500b2f9d41db86e0653331f529dd307a3e7f56b1c309a976e15886a28"),
+    ((4, 8, 1.0, 0), "bb8318b58f2ae80c21bd8c3555e0b807c0d70b2d89213d706ef3764580865d02"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _PINNED_DRAWS)
+def test_sparse_draw_bytes_pinned(args, digest):
+    t = draw_sparse_projection(*args)
+    h = hashlib.sha256()
+    for a, dtype in ((t.indptr, "<i8"), (t.cols, "<i4"), (t.signs, "<f8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    assert h.hexdigest() == digest
+
+
+def _one_per_row(**fields):
+    """A valid 4 x 8 projection with one nonzero per row, with `fields`
+    replaced."""
+    valid = dict(
+        k=4, n=8, q=0.5, indptr=np.array([0, 1, 2, 3, 4], dtype=np.int32),
+        cols=np.array([0, 1, 2, 3], dtype=np.int32), signs=np.ones(4),
+        magnitude=0.5, seed=0,
+    )
+    return sketches.SparseProjection(**{**valid, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"indptr": np.array([0, 1, 2, 4])}, "indptr must have shape"),
+        ({"indptr": np.array([1, 1, 2, 3, 4])}, "indptr must run from 0 to 4"),
+        ({"indptr": np.array([0, 1, 2, 3, 3])}, "indptr must run from 0 to 4"),
+        ({"indptr": np.array([0, 3, 1, 3, 4])}, "non-decreasing"),
+        ({"signs": np.ones(3)}, "equal length"),
+        ({"cols": np.array([0, 1, 8, 3])}, "cols must lie in"),
+        ({"cols": np.array([0, -1, 2, 3])}, "cols must lie in"),
+    ],
+    ids=["indptr-shape", "indptr-start", "indptr-end", "indptr-decreasing",
+         "signs-length", "col-above-n", "col-negative"],
+)
+def test_malformed_projection_raises(fields, message):
+    with pytest.raises(InvalidSpec, match=message):
+        _one_per_row(**fields)
 
 
 def test_sparse_jl_norm_preservation():

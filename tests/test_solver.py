@@ -301,9 +301,9 @@ def test_injected_plan_failure_does_not_retry(gaussian_problem):
 
 
 def _zero_projection(k, n, q, seed, label):
-    empty_i = np.empty(0, dtype=np.int32)
     return SparseProjection(
-        k=k, n=n, q=q, rows=empty_i, cols=empty_i, signs=np.empty(0),
+        k=k, n=n, q=q, indptr=np.zeros(k + 1, dtype=np.int32),
+        cols=np.empty(0, dtype=np.int32), signs=np.empty(0),
         magnitude=1.0 / math.sqrt(k * q), seed=seed, label=label,
     )
 
