@@ -37,6 +37,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+# BLAS nrm2 on vectors: a scaled sum of squares that neither overflows nor
+# underflows at extreme entry scales, unlike np.linalg.norm.
+from scipy.linalg import norm
 
 from .errors import (
     ConvergenceFailure,
@@ -155,10 +158,10 @@ def gamma_fraction(u, b) -> float:
     b = as_vector(b)
     if u.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"basis has {u.shape[0]} rows, vector has {b.shape[0]}")
-    nb = float(np.linalg.norm(b))
+    nb = float(norm(b))
     if nb == 0.0:
         raise ZeroRhs("gamma undefined for b = 0")
-    g = float(np.linalg.norm(u.T @ b)) / nb
+    g = float(norm(u.T @ b)) / nb
     if g > 1.0 + 1e-12:
         raise InvalidGamma(f"computed fraction {g} exceeds 1")
     return min(g, 1.0)
@@ -282,12 +285,10 @@ def _apply(op, hd: np.ndarray) -> np.ndarray:
     return apply_sparse_projection(op, hd)
 
 
-def _diagnostics(
-    problem: LsProblem, pad: PaddedProblem, d_signs: SignDiagonal, op, eps: float
-) -> Diagnostics:
+def _diagnostics(pad: PaddedProblem, d_signs: SignDiagonal, op, eps: float) -> Diagnostics:
     u = orthonormal_basis(pad.a_pad)
     bperp = project_out(u, pad.b_pad)
-    z = float(np.linalg.norm(bperp))
+    z = float(norm(bperp))
     both = _apply(op, _transform(op, np.column_stack([u, bperp]), d_signs))
     check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
     return Diagnostics(
@@ -295,7 +296,8 @@ def _diagnostics(
         cross_term=check.cross_term,
         z=z,
         gamma=gamma_fraction(u, pad.b_pad),
-        kappa=condition_number(problem.a),
+        # A = U (U^T A), so kappa(A) = kappa(U^T A), a d x d matrix.
+        kappa=condition_number(u.T @ pad.a_pad),
         embedding_ok=check.embedding_ok,
         cross_term_ok=check.cross_term_ok,
     )
@@ -352,10 +354,8 @@ def _sketch_solve(
         timings["sketch-apply"] = t2 - t1
         timings["small-solve"] = t3 - t2
         break
-    residual = float(np.linalg.norm(problem.a @ x - problem.b))
-    diag = (
-        _diagnostics(problem, pad, d_signs, the_op, params.epsilon) if diagnostics else None
-    )
+    residual = float(norm(problem.a @ x - problem.b))
+    diag = _diagnostics(pad, d_signs, the_op, params.epsilon) if diagnostics else None
     timings["total"] = time.perf_counter() - t_start
     return SketchOutcome(
         x_tilde=x,
@@ -479,5 +479,5 @@ def sketch_solve_best_of(
 def exact_outcome(problem: LsProblem) -> tuple[np.ndarray, float]:
     """Exact solution and optimal residual of the full problem."""
     x = solve_exact_ls(problem.a, problem.b)
-    z = float(np.linalg.norm(problem.a @ x - problem.b))
+    z = float(norm(problem.a @ x - problem.b))
     return x, z

@@ -2,9 +2,10 @@
 
 Deliberately naive and independent of the library's own solve paths:
 Gaussian elimination for the normal equations, characteristic-polynomial
-coefficients via the trace recurrence for singular values, triple-loop
-products for sparse operators, the plain stage-by-stage Hadamard
-butterfly, and the triplet sparse-projection draw and product.
+coefficients via the trace recurrence for singular values, matrices built
+around a known singular spectrum, triple-loop products for sparse
+operators, the plain stage-by-stage Hadamard butterfly, and the triplet
+sparse-projection draw and product.
 """
 
 import numpy as np
@@ -64,6 +65,17 @@ def charpoly_singular_values(m):
     roots = np.roots(charpoly_coefficients(g))
     vals = np.clip(roots.real, 0.0, None)
     return np.sqrt(np.sort(vals)[::-1])
+
+
+def known_spectrum_matrix(n, d, kappa, seed):
+    """U diag(s) V^T with random orthonormal U (n x d) and V (d x d), and s
+    geometric from 1 down to 1/kappa. Returns the matrix and s: its singular
+    values up to the rounding of the product, about 1e-16 relative to s[0]."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    s = np.geomspace(1.0, 1.0 / kappa, d)
+    return (u * s) @ v.T, s
 
 
 def dense_projection_product(t_dense, m):

@@ -11,7 +11,7 @@ from sketchlsq.linalg import (
     solve_exact_ls,
     spectral_norm_sym,
 )
-from oracles import charpoly_singular_values
+from oracles import charpoly_singular_values, known_spectrum_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -127,6 +127,15 @@ def test_gram_singular_values_charpoly_oracle(d):
     expected = charpoly_singular_values(m)
     got = gram_singular_values(m)
     assert np.abs(got - expected).max() <= 1e-6
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e10])
+def test_singular_values_match_a_known_spectrum(kappa):
+    # An eigensolve of m.T @ m squares kappa: at 1e8 it misses sigma_min by
+    # tens of percent, and at 1e10 it finds the matrix rank deficient.
+    a, s = known_spectrum_matrix(2**12, 10, kappa, seed=7)
+    assert np.abs(gram_singular_values(a) / s - 1.0).max() <= 1e-6
+    assert condition_number(a) == pytest.approx(kappa, rel=1e-6)
 
 
 def test_spectral_norm_diagonal():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from sketchlsq.errors import (
     ZeroRhs,
 )
 from sketchlsq.linalg import orthonormal_basis, project_out, solve_exact_ls
-from sketchlsq.problems import KIND_GAUSSIAN, ProblemSpec, gen_problem
+from sketchlsq.problems import KIND_GAUSSIAN, KINDS, ProblemSpec, gen_problem
 from sketchlsq.sketches import SamplingPlan, SketchParams, SparseProjection, identity_plan
 from sketchlsq.solver import (
     LsProblem,
@@ -26,6 +27,7 @@ from sketchlsq.solver import (
     sketch_solve_sampling,
     verify_conditions,
 )
+from oracles import known_spectrum_matrix
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +266,30 @@ def test_diagnostics_block(gaussian_problem):
     assert out.timings["total"] > 0
 
 
+@pytest.mark.parametrize("n", [2**12, 2**12 + 1])
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e10])
+def test_diagnostics_kappa_matches_a_known_spectrum(n, kappa):
+    a, _ = known_spectrum_matrix(n, 10, kappa, seed=8)
+    b = np.random.default_rng(8).standard_normal(n)
+    out = sketch_solve_sampling(LsProblem(a, b), _params(), 23, diagnostics=True)
+    assert out.diagnostics.kappa == pytest.approx(kappa, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+@pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
+def test_norms_survive_extreme_scales(gaussian_problem, solve, scale):
+    # A plain sum of squares overflows to inf above ~1e154 and loses every
+    # digit below ~1e-154; every norm must scale with the data instead.
+    a, b = gaussian_problem.a, gaussian_problem.b
+    scaled = LsProblem(a * scale, b * scale)
+    plain_out = solve(gaussian_problem, _params(q=0.3), 24, diagnostics=True)
+    scaled_out = solve(scaled, _params(q=0.3), 24, diagnostics=True)
+    assert scaled_out.residual_tilde / scale == pytest.approx(plain_out.residual_tilde, rel=1e-12)
+    assert scaled_out.diagnostics.z / scale == pytest.approx(plain_out.diagnostics.z, rel=1e-12)
+    assert scaled_out.diagnostics.gamma == pytest.approx(plain_out.diagnostics.gamma, rel=1e-12)
+    assert exact_outcome(scaled)[1] / scale == pytest.approx(exact_outcome(gaussian_problem)[1], rel=1e-12)
+
+
 def test_retry_once_on_rank_loss(gaussian_problem, monkeypatch):
     real_draw = solver_mod.draw_sampling_plan
 
@@ -403,3 +429,50 @@ def test_z_exact_passthrough(gaussian_problem):
     out = sketch_solve_sampling(gaussian_problem, _params(), 21, z_exact=z)
     assert out.z_exact == z
     assert out.residual_tilde >= out.z_exact - 1e-10
+
+
+# SHA-256 over x_tilde and retries of every solve in _bytes_corpus, computed
+# when the diagnostics still ran a Jacobi eigensolve and numpy norms. Neither
+# the diagnostics nor the rounding of a norm may move a solution or the
+# best_of pick.
+_PINNED_SOLUTION_DIGEST = "b4ffe6fa3341386c95702a8ded32928f7ce4005d815c415e866ffb3a3306d305"
+
+
+def _bytes_corpus(diagnostics):
+    """Both methods on every problem kind at n = 1024 and the padded 1025,
+    best_of with m = 3, and a 9 x 6 cell where the first draw of some seeds
+    loses rank and the solve retries."""
+    sampling = SketchParams(epsilon=0.5, r=256)
+    projection = SketchParams(epsilon=0.5, k=128, q=0.3)
+    outs = []
+    for n in (1024, 1025):
+        for kind in KINDS:
+            problem = gen_problem(ProblemSpec(kind, n, 8, 1e4, 0.9, seed=n))
+            for method, params in (("sampling", sampling), ("projection", projection)):
+                for m in (1, 3):
+                    outs.append(sketch_solve_best_of(
+                        problem, params, 40 + m, m=m, method=method, diagnostics=diagnostics
+                    ))
+    tiny = gen_problem(ProblemSpec(KIND_GAUSSIAN, 9, 6, 10.0, 0.9, seed=0))
+    outs += [sketch_solve_sampling(tiny, SketchParams(epsilon=0.5, r=9), s,
+                                   diagnostics=diagnostics) for s in (0, 1)]
+    outs += [sketch_solve_projection(tiny, SketchParams(epsilon=0.5, k=6, q=0.15), s,
+                                     diagnostics=diagnostics) for s in (9, 11)]
+    return outs
+
+
+def _solution_digest(outs) -> str:
+    h = hashlib.sha256()
+    for out in outs:
+        h.update(out.x_tilde.tobytes())
+        h.update(out.retries.to_bytes(1, "little"))
+    return h.hexdigest()
+
+
+def test_solution_bytes_pinned():
+    plain = _bytes_corpus(diagnostics=False)
+    certified = _bytes_corpus(diagnostics=True)
+    assert [o.retries for o in plain[-4:]] == [1, 0, 1, 0]
+    assert all(o.diagnostics is not None for o in certified)
+    assert _solution_digest(certified) == _solution_digest(plain)
+    assert _solution_digest(plain) == _PINNED_SOLUTION_DIGEST
