@@ -31,18 +31,21 @@ _FLOOR_SLACK = 1e-12
 _SPECTRAL_SLACK = 1e-8
 
 
-def column_probabilities(a, beta: float = 1.0) -> np.ndarray:
-    """Exact column-norm-squared probabilities p_i = ||A^(i)||^2 / ||A||_F^2.
-
-    These satisfy the sampling floor for every beta <= 1.
-    """
-    a = as_matrix(a)
-    if not 0.0 < beta <= 1.0:
-        raise InvalidSpec(f"beta must be in (0, 1], got {beta}")
+def _column_energy(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared column norms of a validated A and their sum ||A||_F^2."""
     col_sq = np.sum(a * a, axis=0)
     total = float(col_sq.sum())
     if total == 0.0:
         raise ZeroMatrix("all columns are zero")
+    return col_sq, total
+
+
+def column_probabilities(a) -> np.ndarray:
+    """Exact column-norm-squared probabilities p_i = ||A^(i)||^2 / ||A||_F^2.
+
+    These satisfy the sampling floor for every beta <= 1.
+    """
+    col_sq, total = _column_energy(as_matrix(a))
     return col_sq / total
 
 
@@ -50,10 +53,7 @@ def uniform_probabilities(a) -> tuple[np.ndarray, float]:
     """Uniform probabilities plus the largest beta they satisfy the floor for."""
     a = as_matrix(a)
     n = a.shape[1]
-    col_sq = np.sum(a * a, axis=0)
-    total = float(col_sq.sum())
-    if total == 0.0:
-        raise ZeroMatrix("all columns are zero")
+    col_sq, total = _column_energy(a)
     effective_beta = float(total / (n * col_sq.max()))
     return np.full(n, 1.0 / n), min(1.0, effective_beta)
 
@@ -95,15 +95,8 @@ class ColumnSampler:
     def validate_floor(self, a) -> float:
         """Check p_i >= beta ||A^(i)||^2 / ||A||_F^2 for every column and
         return M = max_i ||A^(i)|| / sqrt(p_i), the worst-case draw norm."""
-        a = as_matrix(a)
-        if a.shape[1] != self.probs.shape[0]:
-            raise DimensionMismatch(
-                f"matrix has {a.shape[1]} columns, sampler has {self.probs.shape[0]}"
-            )
-        col_sq = np.sum(a * a, axis=0)
-        total = float(col_sq.sum())
-        if total == 0.0:
-            raise ZeroMatrix("all columns are zero")
+        a = _matched(a, self)
+        col_sq, total = _column_energy(a)
         floor = self.beta * col_sq / total
         if (self.probs < floor - _FLOOR_SLACK).any():
             worst = int(np.argmax(floor - self.probs))
@@ -113,6 +106,16 @@ class ColumnSampler:
             )
         live = self.probs > 0.0
         return float(np.sqrt((col_sq[live] / self.probs[live]).max()))
+
+
+def _matched(a, sampler: ColumnSampler) -> np.ndarray:
+    """A as a validated matrix with one column per sampler probability."""
+    a = as_matrix(a)
+    if a.shape[1] != sampler.probs.shape[0]:
+        raise DimensionMismatch(
+            f"matrix has {a.shape[1]} columns, sampler has {sampler.probs.shape[0]}"
+        )
+    return a
 
 
 def _draw_indices(sampler: ColumnSampler, seed: int) -> np.ndarray:
@@ -125,11 +128,7 @@ def _draw_indices(sampler: ColumnSampler, seed: int) -> np.ndarray:
 
 def exactly_c(a, sampler: ColumnSampler, seed: int) -> np.ndarray:
     """Materialize C: column t is A^(i_t) / sqrt(c p_{i_t})."""
-    a = as_matrix(a)
-    if a.shape[1] != sampler.probs.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {a.shape[1]} columns, sampler has {sampler.probs.shape[0]}"
-        )
+    a = _matched(a, sampler)
     idx = _draw_indices(sampler, seed)
     return a[:, idx] / np.sqrt(sampler.c * sampler.probs[idx])
 
@@ -140,11 +139,7 @@ def approx_gram(a, sampler: ColumnSampler, seed: int) -> np.ndarray:
     Draws the same indices as `exactly_c` and merges the rank-one updates
     column-count-wise: C C^T = sum_i count_i / (c p_i) A^(i) A^(i)^T.
     """
-    a = as_matrix(a)
-    if a.shape[1] != sampler.probs.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {a.shape[1]} columns, sampler has {sampler.probs.shape[0]}"
-        )
+    a = _matched(a, sampler)
     idx = _draw_indices(sampler, seed)
     counts = np.bincount(idx, minlength=sampler.probs.shape[0])
     live = counts > 0
@@ -209,13 +204,8 @@ def theory_sample_size(a, eps: float, delta: float, sampler: ColumnSampler) -> i
 
 def matmul_error(a, c_mat) -> float:
     """Spectral norm of A A^T - C C^T."""
-    a = as_matrix(a)
     c_mat = as_matrix(c_mat)
-    if a.shape[0] != c_mat.shape[0]:
-        raise DimensionMismatch(
-            f"A has {a.shape[0]} rows, C has {c_mat.shape[0]}"
-        )
-    return spectral_norm_sym(a @ a.T - c_mat @ c_mat.T)
+    return gram_error(a, c_mat @ c_mat.T)
 
 
 def gram_error(a, gram) -> float:

@@ -10,7 +10,7 @@ repeated runs of the same config.
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,7 @@ from .problems import KINDS, ProblemSpec, gen_problem
 from .sketches import SketchParams
 from .solver import (
     LsProblem,
+    METHOD_CGNR,
     METHOD_PROJECTION,
     METHOD_SAMPLING,
     exact_outcome,
@@ -29,7 +30,6 @@ from .solver import (
 SCHEMA_VERSION = 1
 
 METHOD_EXACT = "exact"
-METHOD_CGNR = "cgnr"
 METHODS = (METHOD_EXACT, METHOD_SAMPLING, METHOD_PROJECTION, METHOD_CGNR)
 
 # Roundoff slack, relative to ||b||, applied when checking residual bounds.
@@ -274,6 +274,18 @@ def _problem_spec(p: dict) -> ProblemSpec:
     )
 
 
+def _row(
+    spec: ProblemSpec, method: str, eps: float, seed: int, residual: float, z: float,
+    b_norm: float, **columns,
+) -> ReportRow:
+    """A report row: the problem's columns and the cell's, then `columns`."""
+    return ReportRow(
+        kind=spec.kind, n=spec.n, d=spec.d, kappa=spec.kappa, gamma=spec.gamma,
+        problem_seed=spec.seed, method=method, eps=eps, seed=seed, residual=residual,
+        z_exact=z, rel_error=_rel_error(residual, z, b_norm), **columns,
+    )
+
+
 def _sketch_row(
     spec: ProblemSpec,
     problem: LsProblem,
@@ -284,19 +296,12 @@ def _sketch_row(
     diagnostics: bool,
     x_opt: np.ndarray,
     z: float,
+    b_norm: float,
 ) -> ReportRow:
-    pipeline_method = METHOD_SAMPLING if method == METHOD_CGNR else method
     outcome = sketch_solve_best_of(
-        problem,
-        params,
-        seed,
-        m=best_of,
-        method=pipeline_method,
-        diagnostics=diagnostics,
-        small_solver="cgnr" if method == METHOD_CGNR else "qr",
-        z_exact=z,
+        problem, params, seed, m=best_of, method=method, diagnostics=diagnostics
     )
-    slack = _BOUND_SLACK * float(np.linalg.norm(problem.b))
+    slack = _BOUND_SLACK * b_norm
     residual = outcome.residual_tilde
     forward = float(np.linalg.norm(x_opt - outcome.x_tilde))
     diag = outcome.diagnostics
@@ -310,28 +315,12 @@ def _sketch_row(
             * float(np.linalg.norm(x_opt))
         )
         forward_ok = forward <= bound + slack
-    return ReportRow(
-        kind=spec.kind,
-        n=spec.n,
-        d=spec.d,
-        kappa=spec.kappa,
-        gamma=spec.gamma,
-        problem_seed=spec.seed,
-        method=method,
-        eps=params.epsilon,
-        r=params.r,
-        k=params.k,
-        q=params.q,
-        best_of=best_of,
-        seed=seed,
-        residual=residual,
-        z_exact=z,
-        rel_error=_rel_error(residual, z, float(np.linalg.norm(problem.b))),
-        forward_error=forward,
+    return _row(
+        spec, method, params.epsilon, seed, residual, z, b_norm,
+        r=params.r, k=params.k, q=params.q, best_of=best_of, forward_error=forward,
         embedding_ok=None if diag is None else diag.embedding_ok,
         cross_term_ok=None if diag is None else diag.cross_term_ok,
-        residual_bound_ok=residual_ok,
-        forward_bound_ok=forward_ok,
+        residual_bound_ok=residual_ok, forward_bound_ok=forward_ok,
         t_transform=outcome.timings.get("transform"),
         t_sketch=outcome.timings.get("sketch-apply"),
         t_solve=outcome.timings.get("small-solve"),
@@ -364,6 +353,7 @@ def run_experiment(config) -> ExperimentReport:
         spec = _problem_spec(p)
         problem = gen_problem(spec)
         x_opt, z = exact_outcome(problem)
+        b_norm = float(np.linalg.norm(problem.b))
         params = SketchParams.with_overrides(
             spec.n, spec.d, float(config.get("epsilon", 0.5)), config.get("theory", False),
             config.get("r"), config.get("k"), config.get("q"),
@@ -371,50 +361,22 @@ def run_experiment(config) -> ExperimentReport:
         for method in methods:
             for seed in seed_list:
                 if method == METHOD_EXACT:
-                    rows.append(
-                        ReportRow(
-                            kind=spec.kind,
-                            n=spec.n,
-                            d=spec.d,
-                            kappa=spec.kappa,
-                            gamma=spec.gamma,
-                            problem_seed=spec.seed,
-                            method=method,
-                            eps=params.epsilon,
-                            r=None,
-                            k=None,
-                            q=None,
-                            best_of=1,
-                            seed=seed,
-                            residual=z,
-                            z_exact=z,
-                            rel_error=_rel_error(z, z, float(np.linalg.norm(problem.b))),
-                            forward_error=0.0,
-                            embedding_ok=None,
-                            cross_term_ok=None,
-                            residual_bound_ok=None,
-                            forward_bound_ok=None,
-                            t_transform=None,
-                            t_sketch=None,
-                            t_solve=None,
-                            t_total=None,
-                        )
-                    )
+                    rows.append(_row(
+                        spec, method, params.epsilon, seed, z, z, b_norm,
+                        r=None, k=None, q=None, best_of=1, forward_error=0.0,
+                        embedding_ok=None, cross_term_ok=None,
+                        residual_bound_ok=None, forward_bound_ok=None,
+                    ))
                 else:
-                    rows.append(
-                        _sketch_row(
-                            spec, problem, method, params, seed, best_of,
-                            diagnostics, x_opt, z,
-                        )
-                    )
+                    rows.append(_sketch_row(
+                        spec, problem, method, params, seed, best_of,
+                        diagnostics, x_opt, z, b_norm,
+                    ))
     return ExperimentReport(rows=tuple(rows))
 
 
 def strip_timings(report: ExperimentReport) -> ExperimentReport:
     """Copy of the report with wall-clock fields cleared, for byte-stable
     comparisons across runs."""
-    stripped = tuple(
-        ReportRow(**{**{c: getattr(row, c) for c in _COLUMNS}, **{t: None for t in _TIMING_FIELDS}})
-        for row in report.rows
-    )
-    return ExperimentReport(rows=stripped)
+    cleared = dict.fromkeys(_TIMING_FIELDS)
+    return ExperimentReport(rows=tuple(replace(row, **cleared) for row in report.rows))

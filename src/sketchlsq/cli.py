@@ -13,7 +13,6 @@ import sys
 from . import ensembles
 from .bench import (
     METHODS,
-    METHOD_CGNR,
     METHOD_EXACT,
     emit_report,
     load_config,
@@ -24,7 +23,7 @@ from .errors import (
     RankDeficient,
     SketchLsqError,
 )
-from .matrix_io import load_matrix_csv
+from .matrix_io import load_matrix_csv, save_matrix_csv
 from .problems import KINDS, KIND_GAUSSIAN, ProblemSpec, gen_problem
 from .sketches import SketchParams
 from .solver import (
@@ -109,7 +108,7 @@ def _load_problem(args) -> LsProblem:
 
 
 def _print_outcome(args, problem, params, outcome, seed):
-    size = f"r={params.r}" if args.method in (METHOD_SAMPLING, METHOD_CGNR) else (
+    size = f"r={params.r}" if outcome.method == METHOD_SAMPLING else (
         f"k={params.k} q={params.q:.4g}"
     )
     print(f"method={args.method} n={problem.n} d={problem.d} {size} seed={seed}")
@@ -136,18 +135,10 @@ def _cmd_solve(args) -> int:
         params = SketchParams.with_overrides(
             problem.n, problem.d, args.eps, args.theory, args.r, args.k, args.q
         )
-        pipeline_method = (
-            METHOD_SAMPLING if args.method == METHOD_CGNR else args.method
-        )
         outcomes = []
         for seed in range(args.seed, args.seed + max(1, args.seeds)):
             outcome = sketch_solve_best_of(
-                problem,
-                params,
-                seed,
-                m=args.best_of,
-                method=pipeline_method,
-                small_solver="cgnr" if args.method == METHOD_CGNR else "qr",
+                problem, params, seed, m=args.best_of, method=args.method,
                 diagnostics=args.diagnostics,
             )
             outcomes.append(outcome)
@@ -162,8 +153,6 @@ def _cmd_solve(args) -> int:
         x = outcomes[best].x_tilde
     if args.out:
         if args.format == "csv":
-            from .matrix_io import save_matrix_csv
-
             save_matrix_csv(x.reshape(-1, 1), args.out)
         else:
             with open(args.out, "w") as fh:

@@ -22,6 +22,7 @@ from .approx_matmul import (
     rescale_to_unit_spectral,
     theory_sample_size,
 )
+from .errors import InvalidSpec
 from .hadamard import apply_rht, sample_signs
 from .linalg import gram_singular_values, orthonormal_basis
 from .problems import KIND_GAUSSIAN, ProblemSpec, gen_problem
@@ -40,13 +41,16 @@ from .solver import (
     METHOD_SAMPLING,
     exact_outcome,
     predicted_error_bounds,
-    sketch_solve_projection,
+    sketch_solve_best_of,
     sketch_solve_sampling,
 )
 
 # Multiplicative headroom for comparing floating-point quantities against
 # bound expressions that hold with exact arithmetic.
 _FP_GUARD = 1e-12
+
+# Gaussian draws tried before giving up on a well-spread unit vector.
+_SPREAD_TRIES = 256
 
 
 @dataclass
@@ -79,6 +83,17 @@ def _fixed_basis(n: int, d: int, base_seed: int) -> np.ndarray:
     return orthonormal_basis(stream(base_seed, "ensemble/basis").standard_normal((n, d)))
 
 
+def _well_spread_unit(rng: np.random.Generator, n: int, cap: float) -> np.ndarray:
+    """The first normalized Gaussian draw of length n whose entries are all
+    at most `cap` in magnitude."""
+    for _ in range(_SPREAD_TRIES):
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        if np.abs(x).max() <= cap:
+            return x
+    raise InvalidSpec(f"no unit vector with entries <= {cap:.3g} in {_SPREAD_TRIES} draws")
+
+
 def energy_spreading(
     n: int = 1024, d: int = 8, seeds: int = 200, base_seed: int = 0
 ) -> tuple[EnsembleResult, EnsembleResult]:
@@ -109,7 +124,6 @@ def embedding_ensemble(
     size: int = 384,
     seeds: int = 100,
     base_seed: int = 0,
-    eps: float = 0.25,
 ) -> EnsembleResult:
     """Rate at which the sketched basis keeps min sigma^2 >= 1/sqrt(2).
 
@@ -118,7 +132,8 @@ def embedding_ensemble(
     no correct sketch meets the floor there.
     """
     u = _fixed_basis(n, d, base_seed)
-    q = projection_params(n, d, eps, c_q=0.1).q
+    # The practical q does not depend on eps.
+    q = SketchParams.practical(n, d, 0.5).q
     ok = 0
     for s in range(seeds):
         signs = sample_signs(n, base_seed + s, label="ensemble/signs")
@@ -130,7 +145,7 @@ def embedding_ensemble(
             proj = draw_sparse_projection(size, n, q, base_seed + s, label="ensemble/proj")
             xu = apply_sparse_projection(proj, hdu)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            raise InvalidSpec(f"unknown method {method!r}")
         sigma = gram_singular_values(xu)
         ok += sigma[-1] ** 2 >= EMBEDDING_FLOOR
     return EnsembleResult(f"subspace-embedding {method} size={size}", int(ok), seeds, 0.90)
@@ -155,24 +170,18 @@ def relative_error_ensemble(
     problem = gen_problem(spec)
     x_opt, z = exact_outcome(problem)
     x_norm = float(np.linalg.norm(x_opt))
-    sigma = gram_singular_values(problem.a)
-    sigma_min = float(sigma[-1])
-    if method == METHOD_SAMPLING:
-        params = SketchParams(epsilon=eps, r=size)
-        solve = sketch_solve_sampling
-    elif method == METHOD_PROJECTION:
-        q = SketchParams.practical(n, d, eps).q
-        params = SketchParams(epsilon=eps, k=size, q=q)
-        solve = sketch_solve_projection
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    sigma_min = float(gram_singular_values(problem.a)[-1])
+    # Sampling reads r, projection reads (k, q).
+    params = SketchParams(epsilon=eps, r=size, k=size, q=SketchParams.practical(n, d, eps).q)
     ok = 0
     conditioned = 0
     violations_residual = 0
     violations_forward_z = 0
     violations_forward_gamma = 0
     for s in range(seeds):
-        out = solve(problem, params, base_seed + s, diagnostics=True, z_exact=z)
+        out = sketch_solve_best_of(
+            problem, params, base_seed + s, m=1, method=method, diagnostics=True
+        )
         diag = out.diagnostics
         bounds = predicted_error_bounds(kappa, diag.gamma, eps, x_norm, z, sigma_min)
         residual_bound = bounds.residual_bound * (1.0 + _FP_GUARD)
@@ -212,10 +221,8 @@ def gram_error_ensemble(
     """Spectral error of the sampled Gram estimate at the closed-form
     sample size, on a matrix rescaled to unit spectral norm."""
     a = stream(base_seed, "ensemble/matmul").standard_normal((m, n))
+    # Unit spectral norm puts ||A||_F^2 >= 1 above the 1/24 floor.
     a = rescale_to_unit_spectral(a)
-    frob_sq = float(np.sum(a * a))
-    if frob_sq < 1.0 / 24.0:
-        raise ValueError("generated matrix violates the Frobenius hypothesis")
     sampler_probe = ColumnSampler.norm_squared(a, c=1)
     c = theory_sample_size(a, eps, delta, sampler_probe)
     sampler = ColumnSampler.norm_squared(a, c=c)
@@ -238,14 +245,7 @@ def gram_error_ensemble(
 def _moment_pair(n: int, q: float, pair_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A unit x with ||x||_inf <= sqrt(q) and a generic unit y."""
     rng = stream(pair_seed, "ensemble/moment-pair")
-    cap = math.sqrt(q)
-    for _ in range(64):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        if np.abs(x).max() <= cap:
-            break
-    else:
-        raise ValueError(f"could not draw a well-spread x for q={q}")
+    x = _well_spread_unit(rng, n, math.sqrt(q))
     y = rng.standard_normal(n)
     y /= np.linalg.norm(y)
     return x, y
@@ -305,14 +305,7 @@ def sparse_jl(
     vector, at the closed-form (q, k) for this (n, d, eps)."""
     q, k, _ = projection_params(n, d, eps)
     alpha = math.sqrt(2.0 * math.log(40.0 * n * d) / n)
-    rng = stream(base_seed, "ensemble/jl-vector")
-    for _ in range(256):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        if np.abs(x).max() <= alpha:
-            break
-    else:
-        raise ValueError("could not draw a well-spread unit vector")
+    x = _well_spread_unit(stream(base_seed, "ensemble/jl-vector"), n, alpha)
     ok = 0
     for s in range(seeds):
         t = draw_sparse_projection(k, n, q, base_seed + s, label="ensemble/jl")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotPowerOfTwo
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidSpec, NotPowerOfTwo
 from .rng import stream
 
 # Above 1/_PRUNE_FRACTION of the rows requested, the pruned descent stops
@@ -106,6 +106,11 @@ def pad_pow2(a, b) -> PaddedProblem:
 def _require_pow2(n: int):
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"length {n} is not a power of two")
+
+
+def _require_finite(arr: np.ndarray):
+    if not np.isfinite(arr).all():
+        raise InvalidSpec("input contains NaN or Inf entries")
 
 
 def _pow2_floor(x: int) -> int:
@@ -216,8 +221,7 @@ def fwht_normalized(x) -> np.ndarray:
     arr, was_vector = _as_columns(x, "input")
     n = arr.shape[0]
     _require_pow2(n)
-    if not np.isfinite(arr).all():
-        raise ValueError("input contains NaN or Inf entries")
+    _require_finite(arr)
     work = arr.copy()
     _butterfly(work)
     work *= _scale(n)
@@ -231,8 +235,7 @@ def apply_rht(a, d_signs: SignDiagonal) -> np.ndarray:
     _require_pow2(n)
     if n != d_signs.n:
         raise DimensionMismatch(f"matrix has {n} rows, diagonal has {d_signs.n}")
-    if not np.isfinite(arr).all():
-        raise ValueError("input contains NaN or Inf entries")
+    _require_finite(arr)
     work = arr * d_signs.signs[:, None]
     _butterfly(work)
     work *= _scale(n)
@@ -325,8 +328,7 @@ def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
         full = apply_rht(arr, d_signs)
         out = full[rows]
     else:
-        if not np.isfinite(arr).all():
-            raise ValueError("input contains NaN or Inf entries")
+        _require_finite(arr)
         work = arr * d_signs.signs[:, None]
         out = _pruned_rows(work, wanted)
         out *= _scale(n)

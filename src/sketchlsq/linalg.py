@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular, svdvals
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, InvalidSpec, RankDeficient
 
 # Relative floor on the R diagonal below which a matrix is treated as
 # rank deficient. Hard error by design: no pseudo-rank fallback.
@@ -29,7 +29,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be nonempty, got shape {out.shape}")
     if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise InvalidSpec(f"{name} contains NaN or Inf entries")
     return out
 
 
@@ -41,7 +41,7 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     if out.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be nonempty")
     if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise InvalidSpec(f"{name} contains NaN or Inf entries")
     return out
 
 

@@ -5,6 +5,7 @@ which round-trips IEEE doubles exactly.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -24,8 +25,9 @@ def save_matrix_csv(m, path):
 def load_matrix_csv(path, header: bool = False) -> np.ndarray:
     """Read a rectangular numeric CSV into a float64 matrix.
 
-    Raises ParseError with 1-based (row, col) on a bad cell and RaggedRows
-    when a row's width differs from the first data row.
+    Raises ParseError with 1-based (row, col) on a cell that is not a
+    finite number and RaggedRows when a row's width differs from the first
+    data row.
     """
     rows: list[list[float]] = []
     width = None
@@ -43,9 +45,12 @@ def load_matrix_csv(path, header: bool = False) -> np.ndarray:
             parsed = []
             for col, cell in enumerate(record, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError as exc:
                     raise ParseError(lineno, col, f"not a number: {cell!r}") from exc
+                if not math.isfinite(value):
+                    raise ParseError(lineno, col, f"not finite: {cell!r}")
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ParseError(1, 1, "no data rows")

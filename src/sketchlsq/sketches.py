@@ -3,9 +3,9 @@
 Two operators reduce a preprocessed n-row problem to a small one: uniform
 row sampling with replacement (rescaled by sqrt(n/r)) and a sparse random
 projection whose nonzero cells are +-1/sqrt(kq), drawn a chunk of rows at
-a time straight into CSR form. The closed-form sizes the theory asks for
-exceed n at desk scale, so the formula helpers clamp to n and flag that
-they did; experiments normally run with the practical sizes.
+a time straight into CSR form. The sizes come in two fixed sets: the
+paper's closed forms, which exceed n at desk scale (so they clamp to n and
+flag that they did), and the practical sizes experiments normally run with.
 """
 
 import math
@@ -20,11 +20,6 @@ from .rng import stream
 
 MODE_THEORY = "theory"
 MODE_OVERRIDE = "override"
-
-# Default constants for the projection-size formulas; the analysis leaves
-# them unspecified, so they are exposed as knobs.
-DEFAULT_C_Q = 1.0
-DEFAULT_C_K = 1.0
 
 # Practical-size constants used by experiments (theory sizes exceed n).
 _PRACTICAL_R_FACTOR = 4.0
@@ -78,23 +73,21 @@ def _q_expression(n: int, d: int, c_q: float) -> float:
     return c_q * d * ln_nd / n * (2.0 * math.log(n) + 16.0 * d + 16.0)
 
 
-def projection_params(
-    n: int, d: int, eps: float, c_q: float = DEFAULT_C_Q, c_k: float = DEFAULT_C_K
-) -> ProjectionSize:
+def projection_params(n: int, d: int, eps: float) -> ProjectionSize:
     """Closed-form projection sparsity q and size k.
 
-    q = c_q d ln(40nd) (2 ln n + 16 d + 16) / n, capped at 1;
-    k = max{c_k (118^2 d + 98^2), 60 d / eps}, rounded up and capped at n.
-    The flag reports whether either cap was hit.
+    q = d ln(40nd) (2 ln n + 16 d + 16) / n, capped at 1;
+    k = max{118^2 d + 98^2, 60 d / eps}, rounded up and capped at n.
+    The flag reports whether either cap was hit. The paper leaves the
+    constants in front of q and k unspecified; they are 1 here, and the
+    practical sizes (`SketchParams.practical`) shrink the one in q.
     """
     if not 1 <= d <= n:
         raise DimensionMismatch(f"need 1 <= d <= n, got d={d}, n={n}")
     if not 0.0 < eps < 0.5:
         raise InvalidEpsilon(f"projection needs eps in (0, 1/2), got {eps}")
-    if c_q <= 0.0 or c_k <= 0.0:
-        raise InvalidSpec(f"constants must be positive, got c_q={c_q}, c_k={c_k}")
-    q_raw = _q_expression(n, d, c_q)
-    k_raw = math.ceil(max(c_k * (118.0**2 * d + 98.0**2), 60.0 * d / eps))
+    q_raw = _q_expression(n, d, 1.0)
+    k_raw = math.ceil(max(118.0**2 * d + 98.0**2, 60.0 * d / eps))
     clamped = q_raw > 1.0 or k_raw > n
     return ProjectionSize(min(1.0, q_raw), min(k_raw, n), clamped)
 
@@ -105,8 +98,9 @@ class SketchParams:
 
     `r` drives the sampling pipeline, `(k, q)` the projection pipeline;
     either side may be None when unused. `mode` records whether the sizes
-    came from the closed-form expressions (possibly clamped to n) or were
-    user overrides.
+    came from the closed-form expressions (possibly clamped to n, which
+    `theory_clamped` flags) or were set any other way: the practical sizes
+    or user overrides.
     """
 
     epsilon: float
@@ -114,8 +108,6 @@ class SketchParams:
     k: Optional[int] = None
     q: Optional[float] = None
     mode: str = MODE_OVERRIDE
-    c_q: float = DEFAULT_C_Q
-    c_k: float = DEFAULT_C_K
     theory_clamped: bool = False
 
     def __post_init__(self):
@@ -131,20 +123,16 @@ class SketchParams:
             raise InvalidSpec(f"unknown mode {self.mode!r}")
 
     @classmethod
-    def theory(
-        cls, n: int, d: int, eps: float, c_q: float = DEFAULT_C_Q, c_k: float = DEFAULT_C_K
-    ) -> "SketchParams":
+    def theory(cls, n: int, d: int, eps: float) -> "SketchParams":
         """Sizes from the closed-form expressions, clamped to n when needed."""
         r = sampling_size_r(n, d, eps)
-        qk = projection_params(n, d, eps, c_q, c_k)
+        qk = projection_params(n, d, eps)
         return cls(
             epsilon=eps,
             r=r.value,
             k=qk.k,
             q=qk.q,
             mode=MODE_THEORY,
-            c_q=c_q,
-            c_k=c_k,
             theory_clamped=r.clamped or qk.clamped,
         )
 

@@ -34,6 +34,7 @@ silently.
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,6 +80,8 @@ from .sketches import (
 
 METHOD_SAMPLING = "sampling"
 METHOD_PROJECTION = "projection"
+# The sampling pipeline with CGNR as its small solver.
+METHOD_CGNR = "cgnr"
 
 EMBEDDING_FLOOR = 1.0 / math.sqrt(2.0)
 
@@ -125,7 +128,12 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Embedding spectrum, cross term, and problem geometry for one solve."""
+    """Embedding spectrum, cross term, and problem geometry for one solve.
+
+    `cross_term` is the squared norm ||(X U)^T X b_perp||^2, so it overflows
+    to inf once entries exceed ~1e154; `cross_term_ok` compares norms and
+    stays exact at any scale.
+    """
 
     sigma_xu: np.ndarray
     cross_term: float
@@ -147,7 +155,6 @@ class SketchOutcome:
     params: SketchParams
     seed: int
     timings: dict
-    z_exact: Optional[float] = None
     diagnostics: Optional[Diagnostics] = None
     retries: int = 0
 
@@ -179,12 +186,14 @@ def verify_conditions(xu, xbperp, z: float, eps: float) -> ConditionCheck:
     if z < 0.0:
         raise InvalidSpec(f"z must be >= 0, got {z}")
     sigma = gram_singular_values(xu)
-    cross = float(np.sum((xu.T @ xbperp) ** 2))
+    # ||v|| <= Z sqrt(eps/2) is ||v||^2 <= eps Z^2 / 2 without the squares,
+    # which overflow or underflow at extreme scales.
+    cross = float(norm(xu.T @ xbperp))
     return ConditionCheck(
         sigma_xu=sigma,
-        cross_term=cross,
+        cross_term=cross * cross,
         embedding_ok=bool(sigma[-1] ** 2 >= EMBEDDING_FLOOR),
-        cross_term_ok=bool(cross <= eps * z * z / 2.0),
+        cross_term_ok=bool(cross <= z * math.sqrt(eps / 2.0)),
     )
 
 
@@ -292,14 +301,11 @@ def _diagnostics(pad: PaddedProblem, d_signs: SignDiagonal, op, eps: float) -> D
     both = _apply(op, _transform(op, np.column_stack([u, bperp]), d_signs))
     check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
     return Diagnostics(
-        sigma_xu=check.sigma_xu,
-        cross_term=check.cross_term,
         z=z,
         gamma=gamma_fraction(u, pad.b_pad),
         # A = U (U^T A), so kappa(A) = kappa(U^T A), a d x d matrix.
         kappa=condition_number(u.T @ pad.a_pad),
-        embedding_ok=check.embedding_ok,
-        cross_term_ok=check.cross_term_ok,
+        **vars(check),
     )
 
 
@@ -315,7 +321,6 @@ def _sketch_solve(
     diagnostics: bool,
     small_solver: str,
     signs: Optional[SignDiagonal],
-    z_exact: Optional[float],
     stream_prefix: str,
 ) -> SketchOutcome:
     """The pipeline behind both public solves: pad, draw the signs and the
@@ -364,7 +369,6 @@ def _sketch_solve(
         params=params,
         seed=int(seed),
         timings=timings,
-        z_exact=z_exact,
         diagnostics=diag,
         retries=retries,
     )
@@ -379,7 +383,6 @@ def sketch_solve_sampling(
     small_solver: str = "qr",
     plan: Optional[SamplingPlan] = None,
     signs: Optional[SignDiagonal] = None,
-    z_exact: Optional[float] = None,
     stream_prefix: str = "",
 ) -> SketchOutcome:
     """Sample r transformed rows uniformly and solve the r x d problem.
@@ -403,7 +406,7 @@ def sketch_solve_sampling(
     return _sketch_solve(
         problem, params, seed, METHOD_SAMPLING, draw, "plan", plan,
         diagnostics=diagnostics, small_solver=small_solver, signs=signs,
-        z_exact=z_exact, stream_prefix=stream_prefix,
+        stream_prefix=stream_prefix,
     )
 
 
@@ -416,7 +419,6 @@ def sketch_solve_projection(
     small_solver: str = "qr",
     projection: Optional[SparseProjection] = None,
     signs: Optional[SignDiagonal] = None,
-    z_exact: Optional[float] = None,
     stream_prefix: str = "",
 ) -> SketchOutcome:
     """Transform (A, b), apply the sparse projection, solve the k x d problem."""
@@ -433,7 +435,7 @@ def sketch_solve_projection(
     return _sketch_solve(
         problem, params, seed, METHOD_PROJECTION, draw, "projection", projection,
         diagnostics=diagnostics, small_solver=small_solver, signs=signs,
-        z_exact=z_exact, stream_prefix=stream_prefix,
+        stream_prefix=stream_prefix,
     )
 
 
@@ -454,14 +456,17 @@ def sketch_solve_best_of(
     method: str = METHOD_SAMPLING,
     **kwargs,
 ) -> SketchOutcome:
-    """Run m independent trials and keep the one with the smallest true
-    residual (ties broken by lowest trial index). Each trial draws from its
-    own derived stream, so the whole bundle is reproducible from one seed."""
+    """Run m independent trials of `method` and keep the one with the
+    smallest true residual (ties broken by lowest trial index). Each trial
+    draws from its own derived stream, so the whole bundle is reproducible
+    from one seed. The table below is the one place a method name picks its
+    pipeline; "cgnr" is sampling with CGNR as the small solver."""
     if m < 1:
         raise InvalidSpec(f"need m >= 1, got {m}")
     pipeline = {
         METHOD_SAMPLING: sketch_solve_sampling,
         METHOD_PROJECTION: sketch_solve_projection,
+        METHOD_CGNR: partial(sketch_solve_sampling, small_solver="cgnr"),
     }.get(method)
     if pipeline is None:
         raise InvalidSpec(f"unknown method {method!r}")

@@ -1,8 +1,11 @@
+import hashlib
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from sketchlsq import ensembles
 from sketchlsq.bench import (
     emit_report,
     load_config,
@@ -11,6 +14,7 @@ from sketchlsq.bench import (
     validate_config,
 )
 from sketchlsq.errors import ConfigError
+from sketchlsq.problems import KINDS
 
 
 def _base_config(**overrides):
@@ -133,3 +137,47 @@ def test_gamma_one_consistent_system_rows():
         # at roundoff-scale optima it stays defined and >= 1.
         if row.rel_error is not None:
             assert row.rel_error >= 1.0 - 1e-9
+
+
+# SHA-256 over _cold_path_corpus, computed before the method-name dispatch
+# and the sketch-size constants were folded: report rows and ensemble
+# results must keep every byte through refactors of the code around the
+# solves.
+_PINNED_COLD_PATH_DIGEST = "1ff2f4b8ff0e7af25b413d25a82a0a5dd4bcc508b6326a6fcd868e57d7b19cdb"
+
+
+def _canon(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _cold_path_corpus() -> list:
+    """Timing-free report rows of every method on every problem kind at two
+    n that are not powers of two, certified, best of 2, at the practical
+    sizes (q capped at 1) and again with sparse overrides; then small runs
+    of every ensemble."""
+    config = {
+        "problems": [{"kind": kind, "n": n, "d": 5, "kappa": 1e3, "gamma": 0.8, "seed": n}
+                     for kind in KINDS for n in (300, 513)],
+        "methods": ["exact", "sampling", "projection", "cgnr"],
+        "seeds": 2, "best_of": 2, "diagnostics": True,
+    }
+    sparse = {**config, "problems": config["problems"][::2], "methods": ["sampling", "projection"],
+              "seeds": [3, 5], "r": 64, "k": 48, "q": 0.3, "best_of": 1}
+    parts = [tuple(map(_canon, astuple(row)))
+             for c in (config, sparse) for row in strip_timings(run_experiment(c)).rows]
+    results = [*ensembles.energy_spreading(n=256, d=4, seeds=10)]
+    for method in ("sampling", "projection"):
+        results.append(ensembles.embedding_ensemble(method, n=1024, d=2, size=64, seeds=10))
+        results.append(ensembles.relative_error_ensemble(method, n=1024, d=2, size=64, seeds=10))
+    results += ensembles.moment_bound(n=64, k=16, q=0.25, seeds=200, pairs=2)
+    results.append(ensembles.sparse_jl(n=256, d=2, eps=0.25, seeds=10))
+    results.append(ensembles.gram_error_ensemble(m=6, n=60, seeds=5))
+    for r in results:
+        parts.append((r.name, r.passed, r.total, _canon(r.floor),
+                      tuple((k, _canon(v)) for k, v in sorted(r.details.items()))))
+    return parts
+
+
+def test_cold_path_bytes_pinned():
+    digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
+    assert digest == _PINNED_COLD_PATH_DIGEST

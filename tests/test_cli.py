@@ -57,6 +57,24 @@ def test_solve_rank_deficient_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_solve_non_finite_csv_exits_1(tmp_path, capsys, cell):
+    (tmp_path / "a.csv").write_text(f"1,0\n0,1\n1,{cell}\n")
+    save_matrix_csv(np.ones((3, 1)), tmp_path / "b.csv")
+    code = cli.main(
+        ["solve", "--matrix", str(tmp_path / "a.csv"), "--rhs", str(tmp_path / "b.csv"),
+         "--method", "exact"]
+    )
+    assert code == 1
+    assert "error: row 3, col 2" in capsys.readouterr().err
+
+
+def test_solve_cgnr_prints_the_sampling_size(capsys):
+    code = cli.main(["solve", "--n", "256", "--d", "4", "--method", "cgnr", "--r", "64"])
+    assert code == 0
+    assert "method=cgnr n=256 d=4 r=64 seed=0" in capsys.readouterr().out
+
+
 def test_solve_matrix_without_rhs_exits_1(tmp_path):
     a = np.ones((4, 1))
     save_matrix_csv(a, tmp_path / "a.csv")

@@ -46,6 +46,20 @@ def test_fwht_rejects_nan():
         fwht_normalized(np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_transform_rejects_non_finite_input_with_a_typed_error(bad):
+    x = np.ones((64, 2))
+    x[5, 1] = bad
+    signs = sample_signs(64, 0)
+    with pytest.raises(InvalidSpec):
+        fwht_normalized(x)
+    with pytest.raises(InvalidSpec):
+        apply_rht(x, signs)
+    for rows in ([3], np.arange(32)):  # pruned descent, then the full fallback
+        with pytest.raises(InvalidSpec):
+            partial_rht_rows(x, signs, rows)
+
+
 def test_fwht_matrix_matches_columns():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((64, 3))

@@ -55,6 +55,15 @@ def test_parse_error_position(tmp_path):
     assert (err.value.row, err.value.col) == (2, 2)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_cell_rejected(tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2\n3,4\n5,{cell}\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix_csv(path)
+    assert (err.value.row, err.value.col) == (3, 2)
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sketchlsq.errors import DimensionMismatch, RankDeficient
+from sketchlsq.errors import DimensionMismatch, InvalidSpec, RankDeficient
 from sketchlsq.linalg import (
+    as_matrix,
+    as_vector,
     condition_number,
     gram_singular_values,
     orthonormal_basis,
@@ -224,3 +226,10 @@ def test_nan_rejected():
     bad[1, 1] = np.nan
     with pytest.raises(ValueError):
         qr_factor(bad)
+
+
+def test_non_finite_input_is_a_typed_error():
+    with pytest.raises(InvalidSpec):
+        as_matrix(np.array([[1.0, np.inf]]))
+    with pytest.raises(InvalidSpec):
+        as_vector(np.array([np.nan, 1.0]))

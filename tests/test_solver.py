@@ -288,6 +288,12 @@ def test_norms_survive_extreme_scales(gaussian_problem, solve, scale):
     assert scaled_out.diagnostics.z / scale == pytest.approx(plain_out.diagnostics.z, rel=1e-12)
     assert scaled_out.diagnostics.gamma == pytest.approx(plain_out.diagnostics.gamma, rel=1e-12)
     assert exact_outcome(scaled)[1] / scale == pytest.approx(exact_outcome(gaussian_problem)[1], rel=1e-12)
+    assert scaled_out.diagnostics.cross_term_ok == plain_out.diagnostics.cross_term_ok
+    # A sketch too small to certify: squaring both sides of the cross-term
+    # check would read inf <= inf or 0 <= 0 here and pass it.
+    small = _params(r=16, k=16, q=0.3)
+    assert not solve(gaussian_problem, small, 24, diagnostics=True).diagnostics.cross_term_ok
+    assert not solve(scaled, small, 24, diagnostics=True).diagnostics.cross_term_ok
 
 
 def test_retry_once_on_rank_loss(gaussian_problem, monkeypatch):
@@ -426,9 +432,18 @@ def test_pipeline_validation(gaussian_problem):
 
 def test_z_exact_passthrough(gaussian_problem):
     _, z = exact_outcome(gaussian_problem)
-    out = sketch_solve_sampling(gaussian_problem, _params(), 21, z_exact=z)
-    assert out.z_exact == z
-    assert out.residual_tilde >= out.z_exact - 1e-10
+    out = sketch_solve_sampling(gaussian_problem, _params(), 21)
+    assert out.residual_tilde >= z - 1e-10
+
+
+def test_best_of_cgnr_is_sampling_with_cgnr(gaussian_problem):
+    for m in (1, 2):
+        cg = sketch_solve_best_of(gaussian_problem, _params(), 6, m=m, method="cgnr")
+        ref = sketch_solve_best_of(
+            gaussian_problem, _params(), 6, m=m, method="sampling", small_solver="cgnr"
+        )
+        assert cg.method == "sampling"
+        assert cg.x_tilde.tobytes() == ref.x_tilde.tobytes()
 
 
 # SHA-256 over x_tilde and retries of every solve in _bytes_corpus, computed
