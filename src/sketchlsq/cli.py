@@ -126,6 +126,8 @@ def _print_outcome(args, problem, params, outcome, seed):
 
 
 def _cmd_solve(args) -> int:
+    if args.seeds < 1:
+        raise SketchLsqError(f"--seeds must be >= 1, got {args.seeds}")
     problem = _load_problem(args)
     if args.method == METHOD_EXACT:
         x, z = exact_outcome(problem)
@@ -136,7 +138,7 @@ def _cmd_solve(args) -> int:
             problem.n, problem.d, args.eps, args.theory, args.r, args.k, args.q
         )
         outcomes = []
-        for seed in range(args.seed, args.seed + max(1, args.seeds)):
+        for seed in range(args.seed, args.seed + args.seeds):
             outcome = sketch_solve_best_of(
                 problem, params, seed, m=args.best_of, method=args.method,
                 diagnostics=args.diagnostics,

@@ -43,8 +43,8 @@ class ProblemSpec:
             raise InvalidSpec(f"unknown problem kind {self.kind!r}")
         if not 1 <= self.d <= self.n:
             raise InvalidSpec(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
-        if self.kappa < 1.0:
-            raise InvalidSpec(f"need kappa >= 1, got {self.kappa}")
+        if not 1.0 <= self.kappa < math.inf:
+            raise InvalidSpec(f"need finite kappa >= 1, got {self.kappa}")
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidSpec(f"need gamma in (0, 1], got {self.gamma}")
 

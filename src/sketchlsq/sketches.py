@@ -2,8 +2,10 @@
 
 Two operators reduce a preprocessed n-row problem to a small one: uniform
 row sampling with replacement (rescaled by sqrt(n/r)) and a sparse random
-projection whose nonzero cells are +-1/sqrt(kq), drawn a chunk of rows at
-a time straight into CSR form. The sizes come in two fixed sets: the
+projection whose nonzero cells are +-1/sqrt(kq), drawn straight into CSR
+form from O(nnz) random numbers: geometric skips between nonzero cells on
+the (seed, label + "/positions") stream, one raw sign byte per nonzero on
+the (seed, label) stream. The sizes come in two fixed sets: the
 paper's closed forms, which exceed n at desk scale (so they clamp to n and
 flag that they did), and the practical sizes experiments normally run with.
 """
@@ -26,12 +28,8 @@ _PRACTICAL_R_FACTOR = 4.0
 _PRACTICAL_K_FACTOR = 4.0
 _PRACTICAL_C_Q = 0.1
 
-# Below this sparsity, drawing one uniform per cell wastes time; skip
-# ahead with geometric gaps instead.
-_SKIP_SAMPLING_Q = 0.02
-
-# Uniforms per chunk of whole rows in the projection draw (1 MB of
-# float64), so the draw never holds a k x n array.
+# Geometric gaps per batch in the projection draw (1 MB of int64), so a
+# draw holds at most one batch of int64 positions.
 _CHUNK = 1 << 17
 
 
@@ -142,6 +140,8 @@ class SketchParams:
         q expression with its constant shrunk to 0.1, all capped at n."""
         if not 1 <= d <= n:
             raise DimensionMismatch(f"need 1 <= d <= n, got d={d}, n={n}")
+        if not 0.0 < eps < 1.0:
+            raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
         r = min(n, math.ceil(_PRACTICAL_R_FACTOR * d * math.log(40.0 * n * d)))
         k = min(n, math.ceil(_PRACTICAL_K_FACTOR * d / eps))
         q = min(1.0, _q_expression(n, d, _PRACTICAL_C_Q))
@@ -266,85 +266,56 @@ class SparseProjection:
         return out
 
 
-def _draw_positions_sparse(rng: np.random.Generator, total: int, q: float) -> np.ndarray:
-    """Indices of nonzero cells among `total` flattened cells, via geometric
-    gaps; each cell is hit independently with probability q."""
-    chunks = []
-    pos = -1
-    while pos < total - 1:
-        remaining = total - 1 - pos
-        size = max(16, int(remaining * q * 1.2) + 16)
-        gaps = rng.geometric(q, size=size)
-        cum = pos + np.cumsum(gaps)
-        chunks.append(cum[cum < total])
-        pos = int(cum[-1])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks).astype(np.int64)
-
-
-def _row_ends(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """End offset of each row's run in sorted row-major cell positions of a
-    rows x n block."""
-    return flat.searchsorted(np.arange(n, (rows + 1) * n, n))
-
-
 def draw_sparse_projection(
     k: int, n: int, q: float, seed: int, label: str = "sparse-projection"
 ) -> SparseProjection:
     """Draw the k x n sparse projection for sparsity q, straight into CSR.
 
-    For moderate q each cell consumes one uniform variate in row-major
-    order (u < q/2 gives +, q/2 <= u < q gives -). The uniforms are drawn
-    a chunk of whole rows at a time, about `_CHUNK` cells per chunk, so the
-    k x n grid is never held; the order they are consumed in does not
-    depend on the chunk size. For tiny q the nonzero positions come from
-    geometric skips, and for q = 1 only the fair signs are random. All
-    realize the same distribution; draws are deterministic given
-    (seed, label).
+    Each cell is nonzero independently with probability q. For q < 1 the
+    nonzero cells, in row-major order, sit at `last + cumsum(gaps)` for
+    i.i.d. geometric(q) gaps from the derived stream (seed, label +
+    "/positions"): O(nnz) random numbers, and never the k x n grid. The
+    gaps come at most `_CHUNK` at a time, and each batch is reduced to int32
+    columns and row ends before the next is drawn; every gap takes one
+    variate, so the batch size moves no byte. At q = 1 no position is
+    drawn. The sign of the i-th nonzero is the top bit of the i-th byte of
+    the raw (seed, label) stream. Draws are deterministic given (seed, label).
     """
     if k < 1 or n < 1:
         raise DimensionMismatch(f"need k, n >= 1, got k={k}, n={n}")
     if not 0.0 < q <= 1.0:
         raise InvalidSparsity(f"q must be in (0, 1], got {q}")
-    rng = stream(seed, label)
-    magnitude = 1.0 / math.sqrt(k * q)
+    total = k * n
+    bounds = np.arange(n, total + n, n)
     if q == 1.0:
-        # Each sign bit is the top bit of one byte of the raw stream, in
-        # order: exactly the bits rng.integers(0, 2, k * n, np.uint8) returns
-        # (Lemire's method on buffered bytes, which never rejects for two
-        # outcomes), without its per-byte loop.
-        raw = rng.bit_generator.random_raw(-(-k * n // 8)).astype("<u8", copy=False)
-        signs = (raw.view(np.uint8)[: k * n] >> 7) * 2.0
-        signs -= 1.0
-        ends = [np.arange(n, (k + 1) * n, n)]
-        cols = np.tile(np.arange(n, dtype=np.int32), k)
-    elif q > _SKIP_SAMPLING_Q:
-        step = max(1, _CHUNK // n)
-        ends, col_parts, sign_parts = [], [], []
-        done = 0
-        for first in range(0, k, step):
-            rows = min(step, k - first)
-            u = rng.random(rows * n)
-            flat = (u < q).nonzero()[0]
-            ends.append(_row_ends(flat, rows, n) + done)
-            col_parts.append(flat % n)
-            sign_parts.append(np.where(u[flat] < q / 2.0, 1.0, -1.0))
-            done += flat.shape[0]
-        cols = np.concatenate(col_parts, dtype=np.int32)
-        signs = np.concatenate(sign_parts)
+        ends, cols = bounds, np.tile(np.arange(n, dtype=np.int32), k)
     else:
-        positions = _draw_positions_sparse(rng, k * n, q)
-        ends = [_row_ends(positions, k, n)]
-        cols = (positions % n).astype(np.int32)
-        signs = np.where(rng.random(positions.shape[0]) < 0.5, 1.0, -1.0)
+        rng = stream(seed, label + "/positions")
+        ends, col_parts, last = np.zeros(k, dtype=np.int64), [], -1
+        while last < total - 1:
+            expect = (total - 1 - last) * q
+            size = min(_CHUNK, int(expect + 4.0 * math.sqrt(expect)) + 16)
+            # Capped gaps keep the sum in int64 even when q is tiny.
+            pos = last + np.cumsum(np.minimum(rng.geometric(q, size=size), total + 1))
+            last = int(pos[-1])
+            pos = pos[: pos.searchsorted(total)]
+            ends += pos.searchsorted(bounds)
+            col_parts.append((pos % n).astype(np.int32))
+        cols = np.concatenate(col_parts)
+    nnz = cols.shape[0]
+    # The top bits of the raw bytes, in order, are exactly the bits
+    # rng.integers(0, 2, nnz, np.uint8) returns (Lemire's method on buffered
+    # bytes, which never rejects for two outcomes), without its per-byte loop.
+    raw = stream(seed, label).bit_generator.random_raw(-(-nnz // 8)).astype("<u8", copy=False)
+    signs = (raw.view(np.uint8)[:nnz] >> 7) * 2.0
+    signs -= 1.0
     # int32 row pointers, like the columns, unless nnz needs more: scipy
     # then takes both as they are.
-    index = np.int32 if cols.shape[0] < 2**31 else np.int64
-    indptr = np.concatenate(([0], *ends), dtype=index)
+    index = np.int32 if nnz < 2**31 else np.int64
+    indptr = np.concatenate(([0], ends), dtype=index)
     return SparseProjection(
         k=k, n=n, q=q, indptr=indptr, cols=cols, signs=signs,
-        magnitude=magnitude, seed=int(seed), label=label,
+        magnitude=1.0 / math.sqrt(k * q), seed=int(seed), label=label,
     )
 
 

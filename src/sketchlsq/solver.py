@@ -320,7 +320,6 @@ def _sketch_solve(
     *,
     diagnostics: bool,
     small_solver: str,
-    signs: Optional[SignDiagonal],
     stream_prefix: str,
 ) -> SketchOutcome:
     """The pipeline behind both public solves: pad, draw the signs and the
@@ -328,18 +327,15 @@ def _sketch_solve(
 
     `draw(padded_n, label)` draws the sketch unless `op` injects one. If the
     sketched matrix loses rank, the solve retries once on the `:1` streams,
-    then fails; an injected sketch or injected signs never retry.
+    then fails; an injected sketch never retries.
     """
     timings: dict = {}
     t_start = time.perf_counter()
     pad = pad_pow2(problem.a, problem.b)
-    injected = op is not None or signs is not None
     retries = 0
     for attempt in range(2):
         t0 = time.perf_counter()
-        d_signs = signs if (signs is not None and attempt == 0) else sample_signs(
-            pad.padded_n, seed, label=f"{stream_prefix}signs:{attempt}"
-        )
+        d_signs = sample_signs(pad.padded_n, seed, label=f"{stream_prefix}signs:{attempt}")
         the_op = op if (op is not None and attempt == 0) else draw(
             pad.padded_n, f"{stream_prefix}{draw_label}:{attempt}"
         )
@@ -350,7 +346,7 @@ def _sketch_solve(
         try:
             x = _small_solve(sketched[:, :-1], sketched[:, -1], small_solver)
         except RankDeficient:
-            if injected or attempt == 1:
+            if op is not None or attempt == 1:
                 raise
             retries += 1
             continue
@@ -382,7 +378,6 @@ def sketch_solve_sampling(
     diagnostics: bool = False,
     small_solver: str = "qr",
     plan: Optional[SamplingPlan] = None,
-    signs: Optional[SignDiagonal] = None,
     stream_prefix: str = "",
 ) -> SketchOutcome:
     """Sample r transformed rows uniformly and solve the r x d problem.
@@ -405,8 +400,7 @@ def sketch_solve_sampling(
 
     return _sketch_solve(
         problem, params, seed, METHOD_SAMPLING, draw, "plan", plan,
-        diagnostics=diagnostics, small_solver=small_solver, signs=signs,
-        stream_prefix=stream_prefix,
+        diagnostics=diagnostics, small_solver=small_solver, stream_prefix=stream_prefix,
     )
 
 
@@ -418,7 +412,6 @@ def sketch_solve_projection(
     diagnostics: bool = False,
     small_solver: str = "qr",
     projection: Optional[SparseProjection] = None,
-    signs: Optional[SignDiagonal] = None,
     stream_prefix: str = "",
 ) -> SketchOutcome:
     """Transform (A, b), apply the sparse projection, solve the k x d problem."""
@@ -434,8 +427,7 @@ def sketch_solve_projection(
 
     return _sketch_solve(
         problem, params, seed, METHOD_PROJECTION, draw, "projection", projection,
-        diagnostics=diagnostics, small_solver=small_solver, signs=signs,
-        stream_prefix=stream_prefix,
+        diagnostics=diagnostics, small_solver=small_solver, stream_prefix=stream_prefix,
     )
 
 

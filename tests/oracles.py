@@ -4,14 +4,18 @@ Deliberately naive and independent of the library's own solve paths:
 Gaussian elimination for the normal equations, characteristic-polynomial
 coefficients via the trace recurrence for singular values, matrices built
 around a known singular spectrum, triple-loop products for sparse
-operators, the plain stage-by-stage Hadamard butterfly, and the triplet
-sparse-projection draw and product.
+operators, the plain stage-by-stage Hadamard butterfly, the triplet
+sparse-projection draws and product, and the frozen projection draw that
+pinned digests were taken with.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse
 
 from sketchlsq.rng import stream
+from sketchlsq.sketches import SparseProjection
 
 
 def gaussian_solve(m, rhs):
@@ -146,8 +150,9 @@ def reference_rht(a, signs):
 
 
 def reference_sparse_projection(k, n, q, seed, label="sparse-projection"):
-    """COO triplets (rows, cols, signs) of the k x n sparse projection, drawn
-    the plain way: for q = 1 a fair sign bit per cell; for 0.02 < q < 1 one
+    """COO triplets (rows, cols, signs) of the k x n sparse projection as
+    drawn before the skip draw, the plain way: for q = 1 a fair sign bit per
+    cell (as the current draw still does); for 0.02 < q < 1 one
     k x n grid of uniforms, row-major (u < q/2 gives +, q/2 <= u < q
     gives -); below that, geometric gaps between nonzero cells, then one
     uniform per sign."""
@@ -174,6 +179,32 @@ def reference_sparse_projection(k, n, q, seed, label="sparse-projection"):
     positions = np.concatenate(chunks).astype(np.int64)
     signs = np.where(rng.random(positions.shape[0]) < 0.5, 1.0, -1.0)
     return (positions // n).astype(np.int32), (positions % n).astype(np.int32), signs
+
+
+def frozen_sparse_projection(k, n, q, seed, label="sparse-projection"):
+    """The projection draw as it was before the skip draw: the triplets of
+    `reference_sparse_projection`, packed as a `SparseProjection`. The
+    digests of solves and ensembles taken before the re-roll hold on it."""
+    rows, cols, signs = reference_sparse_projection(k, n, q, seed, label)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k))))
+    return SparseProjection(
+        k=k, n=n, q=q, indptr=indptr.astype(np.int32), cols=cols, signs=signs,
+        magnitude=1.0 / math.sqrt(k * q), seed=int(seed), label=label,
+    )
+
+
+def reference_skip_projection(k, n, q, seed, label="sparse-projection"):
+    """COO triplets (rows, cols, signs) of the k x n sparse projection for
+    q < 1, drawn the plain way: k*n geometric(q) gaps in one call on the
+    (seed, label + "/positions") stream, their cumulative sum minus one as
+    row-major cell positions, cut at k*n; then one fair sign bit per
+    nonzero from the (seed, label) stream."""
+    gaps = stream(seed, label + "/positions").geometric(q, size=k * n)
+    positions = np.cumsum(gaps) - 1
+    positions = positions[positions < k * n]
+    bits = stream(seed, label).integers(0, 2, size=positions.shape[0], dtype=np.uint8)
+    return ((positions // n).astype(np.int32), (positions % n).astype(np.int32),
+            np.array([-1.0, 1.0])[bits])
 
 
 def reference_projection_product(k, n, rows, cols, signs, magnitude, m):

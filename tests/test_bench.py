@@ -140,10 +140,14 @@ def test_gamma_one_consistent_system_rows():
 
 
 # SHA-256 over _cold_path_corpus, computed before the method-name dispatch
-# and the sketch-size constants were folded: report rows and ensemble
-# results must keep every byte through refactors of the code around the
-# solves.
+# and the sketch-size constants were folded, on the projection draw of that
+# time (now `frozen_sparse_projection`): report rows and ensemble results
+# must keep every byte through refactors of the code around the solves.
 _PINNED_COLD_PATH_DIGEST = "1ff2f4b8ff0e7af25b413d25a82a0a5dd4bcc508b6326a6fcd868e57d7b19cdb"
+
+# The same corpus on the geometric-skip projection draw, computed when that
+# draw replaced the per-cell uniforms.
+_PINNED_SKIP_DRAW_COLD_PATH_DIGEST = "acf1977e4cb8c5baa63fb03583c7583a0b79fd6fe6eca618c0f0995e1237fc6a"
 
 
 def _canon(value) -> str:
@@ -178,6 +182,11 @@ def _cold_path_corpus() -> list:
     return parts
 
 
-def test_cold_path_bytes_pinned():
+def test_cold_path_bytes_pinned(frozen_projection_draw):
     digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
     assert digest == _PINNED_COLD_PATH_DIGEST
+
+
+def test_cold_path_bytes_pinned_on_the_skip_draw():
+    digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
+    assert digest == _PINNED_SKIP_DRAW_COLD_PATH_DIGEST

@@ -75,6 +75,23 @@ def test_solve_cgnr_prints_the_sampling_size(capsys):
     assert "method=cgnr n=256 d=4 r=64 seed=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "nan"], "eps must be in (0, 1), got nan"),
+        (["--eps", "0"], "eps must be in (0, 1), got 0.0"),
+        (["--kappa", "nan"], "need finite kappa >= 1, got nan"),
+        (["--seeds", "0"], "--seeds must be >= 1, got 0"),
+        (["--seeds", "-3"], "--seeds must be >= 1, got -3"),
+    ],
+    ids=["eps-nan", "eps-0", "kappa-nan", "seeds-0", "seeds-negative"],
+)
+def test_solve_bad_value_exits_1(capsys, flags, message):
+    code = cli.main(["solve", "--n", "64", "--d", "3", *flags])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_solve_matrix_without_rhs_exits_1(tmp_path):
     a = np.ones((4, 1))
     save_matrix_csv(a, tmp_path / "a.csv")

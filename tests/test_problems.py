@@ -81,3 +81,9 @@ def test_invalid_specs():
         ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=2, kappa=1.0, gamma=0.0, seed=0)
     with pytest.raises(InvalidSpec):
         gen_problem(ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=1, kappa=2.0, gamma=1.0, seed=0))
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+def test_non_finite_kappa_rejected(kappa):
+    with pytest.raises(InvalidSpec, match="kappa"):
+        ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=2, kappa=kappa, gamma=1.0, seed=0)

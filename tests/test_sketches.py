@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import sketchlsq.sketches as sketches
 
@@ -26,7 +27,9 @@ from sketchlsq.sketches import (
 )
 from oracles import (
     dense_projection_product,
+    frozen_sparse_projection,
     reference_projection_product,
+    reference_skip_projection,
     reference_sparse_projection,
 )
 
@@ -245,7 +248,7 @@ def test_sparse_nonzero_count_concentrates():
 
 
 def test_sparse_skip_path_distribution():
-    # q below the skip-sampling threshold exercises the geometric-gap path.
+    # A q this small leaves many rows with few or no nonzero cells.
     k, n, q = 64, 512, 0.01
     counts = [draw_sparse_projection(k, n, q, s).nnz for s in range(200)]
     mean = k * n * q
@@ -254,6 +257,13 @@ def test_sparse_skip_path_distribution():
     t = draw_sparse_projection(k, n, q, 0)
     cells = set(zip(t.rows.tolist(), t.cols.tolist()))
     assert len(cells) == t.nnz
+
+
+def test_sparse_draw_at_vanishing_q():
+    # Geometric gaps this large overflow int64 unless the draw caps them.
+    for q in (1e-300, 1e-18):
+        t = draw_sparse_projection(2, 4, q, 0)
+        assert t.nnz == 0 and t.indptr.tolist() == [0, 0, 0]
 
 
 def test_sparse_invalid_q():
@@ -321,10 +331,11 @@ def test_apply_sparse_dimension_mismatch():
 @pytest.mark.parametrize("k", [1, 7, 160])
 @pytest.mark.parametrize("q", [0.015, 0.2, 0.5, 1.0])
 def test_csr_draw_matches_triplet_reference_bit_exact(monkeypatch, q, k, n):
-    # Chunks of 1, 3 and 11 rows put a boundary after every row, leave a
-    # partial last chunk (neither 3 nor 11 divides 7 or 160), and the real
-    # chunk size covers the single-chunk case.
-    rows, cols, signs = reference_sparse_projection(k, n, q, 17)
+    # Batches of 1, 3n and 11n gaps put a batch boundary after every gap and
+    # in the middle of rows, and the real batch size covers the single-batch
+    # case; q = 1 draws no gaps.
+    reference = reference_sparse_projection if q == 1.0 else reference_skip_projection
+    rows, cols, signs = reference(k, n, q, 17)
     rng = np.random.default_rng(k * n)
     m = rng.standard_normal((n, 5))
     magnitude = 1.0 / math.sqrt(k * q)
@@ -341,10 +352,19 @@ def test_csr_draw_matches_triplet_reference_bit_exact(monkeypatch, q, k, n):
         assert np.array_equal(apply_sparse_projection(t, m[:, 0]), want_vec)
 
 
-# SHA-256 of (indptr as int64, cols as int32, signs as float64) for three
-# draws, computed with the triplet draw (one k x n grid of uniforms, indptr
-# from its per-row counts) before the draw moved to row chunks and CSR. A
-# change here re-rolls every projection ensemble, so it must be deliberate.
+def _draw_digest(t):
+    """SHA-256 of (indptr as int64, cols as int32, signs as float64)."""
+    h = hashlib.sha256()
+    for a, dtype in ((t.indptr, "<i8"), (t.cols, "<i4"), (t.signs, "<f8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# Digests of three draws computed with the triplet draw (one k x n grid of
+# uniforms, indptr from its per-row counts) before the draw moved to CSR
+# and then to geometric skips. The frozen draw must still give them, since
+# the pinned solve and ensemble digests were taken on it; the current draw
+# gives them at q = 1 only.
 _PINNED_DRAWS = [
     ((64, 256, 0.2, 5), "9d519649293f726c944929174cbaf8f68d177c234e03c40ed8a381a9e4b1b3f7"),
     ((64, 512, 0.01, 0), "b2beec3500b2f9d41db86e0653331f529dd307a3e7f56b1c309a976e15886a28"),
@@ -354,11 +374,46 @@ _PINNED_DRAWS = [
 
 @pytest.mark.parametrize("args, digest", _PINNED_DRAWS)
 def test_sparse_draw_bytes_pinned(args, digest):
-    t = draw_sparse_projection(*args)
-    h = hashlib.sha256()
-    for a, dtype in ((t.indptr, "<i8"), (t.cols, "<i4"), (t.signs, "<f8")):
-        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
-    assert h.hexdigest() == digest
+    assert _draw_digest(frozen_sparse_projection(*args)) == digest
+    if args[2] == 1.0:
+        assert _draw_digest(draw_sparse_projection(*args)) == digest
+
+
+# Digests of the q < 1 draws above, computed when geometric skips replaced
+# one uniform per cell. A change here re-rolls every projection ensemble,
+# so it must be deliberate.
+_PINNED_SKIP_DRAWS = [
+    ((64, 256, 0.2, 5), "c145ba98dbb0ad9ba25c01c865486280e597a7f7863ecd3dec5932a23fcbe93f"),
+    ((64, 512, 0.01, 0), "89619c43b6b2240cab8d173eb370f6f996a16c1b2a9db1af04faa62ae88e97a0"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _PINNED_SKIP_DRAWS)
+def test_skip_draw_bytes_pinned(args, digest):
+    assert _draw_digest(draw_sparse_projection(*args)) == digest
+
+
+@pytest.mark.parametrize("n", [1024, 1000])
+@pytest.mark.parametrize("q", [0.015, 0.2, 0.5])
+def test_skip_draw_matches_its_distribution(q, n):
+    # Every cell is nonzero independently with probability q, with a fair
+    # sign: row counts are Binomial(n, q), every column is hit equally
+    # often, and the signs balance. Each bound is ~5 standard errors.
+    k, seeds = 64, 20
+    draws = [draw_sparse_projection(k, n, q, s) for s in range(seeds)]
+    counts = np.concatenate([np.diff(t.indptr) for t in draws]).astype(np.float64)
+    mean, var = n * q, n * q * (1.0 - q)
+    fourth = var * (1.0 + 3.0 * (n - 2) * q * (1.0 - q))  # binomial 4th central moment
+    assert abs(counts.mean() - mean) <= 5.0 * math.sqrt(var / counts.size)
+    assert abs(counts.var(ddof=1) - var) <= 5.0 * math.sqrt((fourth - var**2) / counts.size)
+    # Column hits are independent Binomial(k * seeds, q): their spread
+    # around the mean, over the binomial variance, is chi-square on n - 1.
+    hits = np.bincount(np.concatenate([t.cols for t in draws]), minlength=n)
+    chi2 = float(np.sum((hits - hits.mean()) ** 2) / (hits.mean() * (1.0 - q)))
+    lo, hi = scipy.stats.chi2.ppf([1e-6, 1.0 - 1e-6], n - 1)
+    assert lo <= chi2 <= hi
+    signs = np.concatenate([t.signs for t in draws])
+    assert abs(signs.sum()) <= 5.0 * math.sqrt(signs.size)
 
 
 def _one_per_row(**fields):

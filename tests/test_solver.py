@@ -277,9 +277,11 @@ def test_diagnostics_kappa_matches_a_known_spectrum(n, kappa):
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
 @pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
-def test_norms_survive_extreme_scales(gaussian_problem, solve, scale):
+def test_norms_survive_extreme_scales(frozen_projection_draw, gaussian_problem, solve, scale):
     # A plain sum of squares overflows to inf above ~1e154 and loses every
     # digit below ~1e-154; every norm must scale with the data instead.
+    # Seed 24 was chosen on the projection draw before the skip draw, for
+    # a small draw that does not certify; the frozen draw keeps it.
     a, b = gaussian_problem.a, gaussian_problem.b
     scaled = LsProblem(a * scale, b * scale)
     plain_out = solve(gaussian_problem, _params(q=0.3), 24, diagnostics=True)
@@ -447,16 +449,30 @@ def test_best_of_cgnr_is_sampling_with_cgnr(gaussian_problem):
 
 
 # SHA-256 over x_tilde and retries of every solve in _bytes_corpus, computed
-# when the diagnostics still ran a Jacobi eigensolve and numpy norms. Neither
-# the diagnostics nor the rounding of a norm may move a solution or the
-# best_of pick.
+# when the diagnostics still ran a Jacobi eigensolve and numpy norms, on the
+# projection draw of that time (now `frozen_sparse_projection`). Neither the
+# diagnostics nor the rounding of a norm may move a solution or the best_of
+# pick.
 _PINNED_SOLUTION_DIGEST = "b4ffe6fa3341386c95702a8ded32928f7ce4005d815c415e866ffb3a3306d305"
+
+# The same corpus on the geometric-skip projection draw, computed when that
+# draw replaced the per-cell uniforms.
+_PINNED_SKIP_DRAW_SOLUTION_DIGEST = "01c85865b5a0c923e47a5d43706097d78b5d47ae505b032f352bfe4453aede62"
+
+
+def _solve_or_error(solve, *args, **kwargs):
+    """The outcome of one solve, or the typed error it raised."""
+    try:
+        return solve(*args, **kwargs)
+    except RankDeficient as exc:
+        return exc
 
 
 def _bytes_corpus(diagnostics):
     """Both methods on every problem kind at n = 1024 and the padded 1025,
     best_of with m = 3, and a 9 x 6 cell where the first draw of some seeds
-    loses rank and the solve retries."""
+    loses rank and the solve retries (or, if the retry loses rank too,
+    raises)."""
     sampling = SketchParams(epsilon=0.5, r=256)
     projection = SketchParams(epsilon=0.5, k=128, q=0.3)
     outs = []
@@ -469,25 +485,39 @@ def _bytes_corpus(diagnostics):
                         problem, params, 40 + m, m=m, method=method, diagnostics=diagnostics
                     ))
     tiny = gen_problem(ProblemSpec(KIND_GAUSSIAN, 9, 6, 10.0, 0.9, seed=0))
-    outs += [sketch_solve_sampling(tiny, SketchParams(epsilon=0.5, r=9), s,
-                                   diagnostics=diagnostics) for s in (0, 1)]
-    outs += [sketch_solve_projection(tiny, SketchParams(epsilon=0.5, k=6, q=0.15), s,
-                                     diagnostics=diagnostics) for s in (9, 11)]
+    outs += [_solve_or_error(sketch_solve_sampling, tiny, SketchParams(epsilon=0.5, r=9), s,
+                             diagnostics=diagnostics) for s in (0, 1)]
+    outs += [_solve_or_error(sketch_solve_projection, tiny, SketchParams(epsilon=0.5, k=6, q=0.15),
+                             s, diagnostics=diagnostics) for s in (9, 11)]
     return outs
 
 
 def _solution_digest(outs) -> str:
     h = hashlib.sha256()
     for out in outs:
+        if isinstance(out, RankDeficient):
+            h.update(type(out).__name__.encode())
+            continue
         h.update(out.x_tilde.tobytes())
         h.update(out.retries.to_bytes(1, "little"))
     return h.hexdigest()
 
 
-def test_solution_bytes_pinned():
+def test_solution_bytes_pinned(frozen_projection_draw):
     plain = _bytes_corpus(diagnostics=False)
     certified = _bytes_corpus(diagnostics=True)
     assert [o.retries for o in plain[-4:]] == [1, 0, 1, 0]
     assert all(o.diagnostics is not None for o in certified)
     assert _solution_digest(certified) == _solution_digest(plain)
     assert _solution_digest(plain) == _PINNED_SOLUTION_DIGEST
+
+
+def test_solution_bytes_pinned_on_the_skip_draw():
+    plain = _bytes_corpus(diagnostics=False)
+    certified = _bytes_corpus(diagnostics=True)
+    # On this draw the first projection seed of the 9 x 6 cell loses rank
+    # on its retry too.
+    assert [o.retries for o in plain[-4:-2]] == [1, 0]
+    assert isinstance(plain[-2], RankDeficient) and plain[-1].retries == 0
+    assert _solution_digest(certified) == _solution_digest(plain)
+    assert _solution_digest(plain) == _PINNED_SKIP_DRAW_SOLUTION_DIGEST
