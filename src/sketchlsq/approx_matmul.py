@@ -86,12 +86,6 @@ class ColumnSampler:
         """Exact norm-squared probabilities; beta = 1."""
         return cls(probs=column_probabilities(a), c=c, beta=1.0)
 
-    @classmethod
-    def uniform(cls, a, c: int) -> "ColumnSampler":
-        """Uniform probabilities with their computed effective beta."""
-        probs, beta = uniform_probabilities(a)
-        return cls(probs=probs, c=c, beta=beta)
-
     def validate_floor(self, a) -> float:
         """Check p_i >= beta ||A^(i)||^2 / ||A||_F^2 for every column and
         return M = max_i ||A^(i)|| / sqrt(p_i), the worst-case draw norm."""

@@ -1,22 +1,22 @@
 """Experiment sweeps over (problem, method, seed) grids plus report I/O.
 
-Configs are JSON (documented in the README); reports serialize to CSV with
-RFC-4180 quoting or to a schema-versioned JSON object. Floats are printed
-with 17 significant digits so parse(emit(report)) reproduces the report
-exactly; wall-clock columns are the only fields expected to differ between
-repeated runs of the same config.
+A JSON config (see the README) gets only shape and type checks here; its
+ranges are those of the ProblemSpec and SketchParams built for every problem
+before any solve. Reports go to RFC-4180 CSV or schema-versioned JSON, each
+column typed by its ReportRow annotation and floats printed to 17 digits, so
+parse(emit(report)) is exact; only wall-clock columns differ between reruns.
 """
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
-from .errors import ConfigError
-from .problems import KINDS, ProblemSpec, gen_problem
+from .errors import ConfigError, SketchLsqError
+from .problems import ProblemSpec, gen_problem
+from .rng import check_seed
 from .sketches import SketchParams
 from .solver import (
     LsProblem,
@@ -24,6 +24,7 @@ from .solver import (
     METHOD_PROJECTION,
     METHOD_SAMPLING,
     exact_outcome,
+    predicted_error_bounds,
     sketch_solve_best_of,
 )
 
@@ -85,34 +86,29 @@ class ExperimentReport:
         return len(self.rows)
 
 
-_COLUMNS = [f.name for f in fields(ReportRow)]
-_INT_COLUMNS = {"n", "d", "problem_seed", "r", "k", "best_of", "seed"}
-_BOOL_COLUMNS = {"embedding_ok", "cross_term_ok", "residual_bound_ok", "forward_bound_ok"}
-_STR_COLUMNS = {"kind", "method"}
+# Each column's type from its ReportRow annotation, Optional[T] read as T.
+_COLUMN_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(ReportRow)}
+_COLUMNS = list(_COLUMN_TYPES)
 
 
 def _format_cell(name: str, value) -> str:
+    kind = _COLUMN_TYPES[name]
     if value is None:
         return ""
-    if name in _STR_COLUMNS:
-        return str(value)
-    if name in _BOOL_COLUMNS:
+    if kind is bool:
         return "true" if value else "false"
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return format(float(value), ".17g")
+    if kind is float:
+        return format(float(value), ".17g")
+    return str(kind(value))
 
 
 def _parse_cell(name: str, text: str):
+    kind = _COLUMN_TYPES[name]
     if text == "":
         return None
-    if name in _STR_COLUMNS:
-        return text
-    if name in _BOOL_COLUMNS:
+    if kind is bool:
         return text == "true"
-    if name in _INT_COLUMNS:
-        return int(text)
-    return float(text)
+    return kind(text)
 
 
 def emit_report(report: ExperimentReport, path, fmt: str = "csv"):
@@ -161,24 +157,93 @@ def parse_report_json(path) -> ExperimentReport:
     return ExperimentReport(rows=tuple(ReportRow(**row) for row in payload["rows"]))
 
 
-_CONFIG_KEYS = {
-    "problems",
-    "methods",
-    "epsilon",
-    "seeds",
-    "seed_base",
-    "r",
-    "k",
-    "q",
-    "theory",
-    "best_of",
-    "diagnostics",
+# JSON type and default of each top-level field but seeds, and of each
+# problem field ("kind", "n" and "d" are required). The library objects the
+# fields build own their ranges.
+_CONFIG_FIELDS = {
+    "problems": (list, None), "methods": (list, None), "epsilon": (float, 0.5),
+    "r": (int, None), "k": (int, None), "q": (float, None), "theory": (bool, False),
+    "best_of": (int, 1), "diagnostics": (bool, False), "seed_base": (int, 0),
+}
+_PROBLEM_FIELDS = {
+    "kind": (str, None), "n": (int, None), "d": (int, None),
+    "kappa": (float, 1.0), "gamma": (float, 1.0), "seed": (int, 0),
+}
+_TYPE_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false", list: "a list",
 }
 
 
 def _require(cond: bool, context: str, message: str):
     if not cond:
         raise ConfigError(f"{context}: {message}")
+
+
+def _fields(obj: dict, table: dict, context: str, others=()) -> dict:
+    """Every field of `table` from `obj`, type-checked (a float takes any
+    number, as a float; true and false are not numbers; null is of no type),
+    or its default where absent. Keys in neither `table` nor `others` fail."""
+    unknown = sorted(set(obj) - set(table) - set(others))
+    _require(not unknown, context.rstrip(".") or "config", f"unknown keys {unknown}")
+    out = {key: default for key, (_, default) in table.items()}
+    for key in [key for key in table if key in obj]:
+        kind, value = table[key][0], obj[key]
+        ok = isinstance(value, (int, float) if kind is float else kind)
+        ok = ok and isinstance(value, bool) == (kind is bool)
+        _require(ok, context + key, f"expected {_TYPE_NAMES[kind]}")
+        out[key] = float(value) if kind is float else value
+    return out
+
+
+def _built(context: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with the typed error it raises for a bad value
+    re-raised as a ConfigError under `context`."""
+    try:
+        return make(*args, **kwargs)
+    except SketchLsqError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _sweep(raw) -> tuple[list, dict]:
+    """The (ProblemSpec, SketchParams) of every problem, and the typed
+    top-level fields with methods and seeds in row order. Checks the JSON
+    shape and types; the ranges are checked by building, before any solve."""
+    _require(isinstance(raw, dict), "config", "top level must be an object")
+    config = _fields(raw, _CONFIG_FIELDS, "", others=("seeds",))
+    for key in ("problems", "methods"):
+        _require(config[key], key, "expected a nonempty list")
+    for m in config["methods"]:
+        _require(m in METHODS, "methods", f"unknown method {m!r}")
+    config["methods"] = sorted(set(config["methods"]), key=METHODS.index)
+    _require(config["best_of"] >= 1, "best_of", "expected a positive integer")
+    for key in ("epsilon", "r", "k", "q"):
+        _built(key, SketchParams, **{"epsilon": config["epsilon"], key: config[key]})
+
+    seeds = raw.get("seeds", 1)
+    if isinstance(seeds, list):
+        ok = seeds and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
+        _require(ok, "seeds", "expected a positive count or a nonempty list of integers")
+        seeds = sorted(seeds)
+    else:
+        ok = isinstance(seeds, int) and not isinstance(seeds, bool) and seeds >= 1
+        _require(ok, "seeds", "expected a positive count or a list")
+        seeds = range(config["seed_base"], config["seed_base"] + seeds)
+    for seed in (seeds[0], seeds[-1]):  # every other seed lies between them
+        _built("seeds", check_seed, seed)
+    config["seeds"] = seeds
+
+    cells = []
+    for i, p in enumerate(config["problems"]):
+        ctx = f"problems[{i}]"
+        _require(isinstance(p, dict), ctx, "expected an object")
+        for key in ("kind", "n", "d"):
+            _require(key in p, f"{ctx}.{key}", "missing")
+        spec = _built(ctx, ProblemSpec, **_fields(p, _PROBLEM_FIELDS, f"{ctx}."))
+        # With eps, r, k and q each valid, only the theory sizes can fail (eps >= 1/2).
+        params = _built("epsilon", SketchParams.with_overrides, spec.n, spec.d,
+                        config["epsilon"], config["theory"], config["r"], config["k"], config["q"])
+        cells.append((spec, params))
+    return cells, config
 
 
 def load_config(path) -> dict:
@@ -192,86 +257,11 @@ def load_config(path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    _require(isinstance(raw, dict), "config", "top level must be an object")
-    unknown = set(raw) - _CONFIG_KEYS
-    _require(not unknown, "config", f"unknown keys {sorted(unknown)}")
-
-    problems = raw.get("problems")
-    _require(
-        isinstance(problems, list) and problems, "problems", "expected a nonempty list"
-    )
-    for i, p in enumerate(problems):
-        ctx = f"problems[{i}]"
-        _require(isinstance(p, dict), ctx, "expected an object")
-        for key in ("kind", "n", "d"):
-            _require(key in p, f"{ctx}.{key}", "missing")
-        _require(p["kind"] in KINDS, f"{ctx}.kind", f"expected one of {KINDS}")
-        for key in ("n", "d"):
-            _require(
-                isinstance(p[key], int) and p[key] >= 1,
-                f"{ctx}.{key}",
-                "expected a positive integer",
-            )
-        _require(p["d"] <= p["n"], f"{ctx}.d", "d must not exceed n")
-
-    methods = raw.get("methods")
-    _require(
-        isinstance(methods, list) and methods, "methods", "expected a nonempty list"
-    )
-    for m in methods:
-        _require(m in METHODS, "methods", f"unknown method {m!r}")
-
-    eps = raw.get("epsilon", 0.5)
-    _require(
-        isinstance(eps, (int, float)) and 0.0 < eps < 1.0,
-        "epsilon",
-        "expected a number in (0, 1)",
-    )
-
-    seeds = raw.get("seeds", 1)
-    if isinstance(seeds, int):
-        _require(seeds >= 1, "seeds", "expected a positive count or a list")
-    else:
-        _require(
-            isinstance(seeds, list) and all(isinstance(s, int) for s in seeds) and seeds,
-            "seeds",
-            "expected a positive count or a nonempty list of integers",
-        )
-
-    for key in ("r", "k"):
-        if raw.get(key) is not None:
-            _require(
-                isinstance(raw[key], int) and raw[key] >= 1,
-                key,
-                "expected a positive integer",
-            )
-    if raw.get("q") is not None:
-        _require(
-            isinstance(raw["q"], (int, float)) and 0.0 < raw["q"] <= 1.0,
-            "q",
-            "expected a number in (0, 1]",
-        )
-    best_of = raw.get("best_of", 1)
-    _require(
-        isinstance(best_of, int) and best_of >= 1, "best_of", "expected a positive integer"
-    )
-    for key in ("theory", "diagnostics"):
-        if key in raw:
-            _require(isinstance(raw[key], bool), key, "expected true or false")
-    if "seed_base" in raw:
-        _require(isinstance(raw["seed_base"], int), "seed_base", "expected an integer")
+    """`raw` unchanged if it is a valid config, else a ConfigError naming the
+    bad field. JSON types are checked here; ranges by building every problem's
+    `ProblemSpec` and `SketchParams` and by `rng.check_seed`, solving nothing."""
+    _sweep(raw)
     return raw
-
-
-def _problem_spec(p: dict) -> ProblemSpec:
-    return ProblemSpec(
-        kind=p["kind"],
-        n=p["n"],
-        d=p["d"],
-        kappa=float(p.get("kappa", 1.0)),
-        gamma=float(p.get("gamma", 1.0)),
-        seed=int(p.get("seed", 0)),
-    )
 
 
 def _row(
@@ -292,14 +282,14 @@ def _sketch_row(
     method: str,
     params: SketchParams,
     seed: int,
-    best_of: int,
-    diagnostics: bool,
+    config: dict,
     x_opt: np.ndarray,
     z: float,
     b_norm: float,
 ) -> ReportRow:
+    best_of = config["best_of"]
     outcome = sketch_solve_best_of(
-        problem, params, seed, m=best_of, method=method, diagnostics=diagnostics
+        problem, params, seed, m=best_of, method=method, diagnostics=config["diagnostics"]
     )
     slack = _BOUND_SLACK * b_norm
     residual = outcome.residual_tilde
@@ -307,14 +297,13 @@ def _sketch_row(
     diag = outcome.diagnostics
     residual_ok = residual <= (1.0 + params.epsilon) * z + slack
     forward_ok = None
-    if diag is not None and diag.gamma > 0.0:
-        bound = (
-            math.sqrt(params.epsilon)
-            * diag.kappa
-            * math.sqrt(diag.gamma**-2 - 1.0)
-            * float(np.linalg.norm(x_opt))
-        )
-        forward_ok = forward <= bound + slack
+    if diag is not None:
+        bound = predicted_error_bounds(
+            diag.kappa, diag.gamma, params.epsilon, float(np.linalg.norm(x_opt)), z,
+            diag.sigma_min,
+        ).forward_bound_gamma
+        if bound is not None:
+            forward_ok = forward <= bound + slack
     return _row(
         spec, method, params.epsilon, seed, residual, z, b_norm,
         r=params.r, k=params.k, q=params.q, best_of=best_of, forward_error=forward,
@@ -329,37 +318,20 @@ def _sketch_row(
 
 
 def run_experiment(config) -> ExperimentReport:
-    """Run every (problem, method, seed) cell of a validated config.
+    """Run every (problem, method, seed) cell of a config (a dict, or a
+    JSON file's path), all of them built and checked before the first solve.
 
     The exact solve happens once per problem and is shared by all cells;
     rows come out ordered by (problem, canonical method order, seed).
     """
-    if not isinstance(config, dict):
-        config = load_config(config)
-    else:
-        config = validate_config(config)
-    seeds = config.get("seeds", 1)
-    if isinstance(seeds, int):
-        base = int(config.get("seed_base", 0))
-        seed_list = list(range(base, base + seeds))
-    else:
-        seed_list = sorted(seeds)
-    methods = sorted(set(config["methods"]), key=METHODS.index)
-    best_of = int(config.get("best_of", 1))
-    diagnostics = bool(config.get("diagnostics", False))
-
+    cells, config = _sweep(config if isinstance(config, dict) else load_config(config))
     rows = []
-    for p in config["problems"]:
-        spec = _problem_spec(p)
+    for spec, params in cells:
         problem = gen_problem(spec)
         x_opt, z = exact_outcome(problem)
         b_norm = float(np.linalg.norm(problem.b))
-        params = SketchParams.with_overrides(
-            spec.n, spec.d, float(config.get("epsilon", 0.5)), config.get("theory", False),
-            config.get("r"), config.get("k"), config.get("q"),
-        )
-        for method in methods:
-            for seed in seed_list:
+        for method in config["methods"]:
+            for seed in config["seeds"]:
                 if method == METHOD_EXACT:
                     rows.append(_row(
                         spec, method, params.epsilon, seed, z, z, b_norm,
@@ -369,8 +341,7 @@ def run_experiment(config) -> ExperimentReport:
                     ))
                 else:
                     rows.append(_sketch_row(
-                        spec, problem, method, params, seed, best_of,
-                        diagnostics, x_opt, z, b_norm,
+                        spec, problem, method, params, seed, config, x_opt, z, b_norm,
                     ))
     return ExperimentReport(rows=tuple(rows))
 

@@ -170,7 +170,6 @@ def relative_error_ensemble(
     problem = gen_problem(spec)
     x_opt, z = exact_outcome(problem)
     x_norm = float(np.linalg.norm(x_opt))
-    sigma_min = float(gram_singular_values(problem.a)[-1])
     # Sampling reads r, projection reads (k, q).
     params = SketchParams(epsilon=eps, r=size, k=size, q=SketchParams.practical(n, d, eps).q)
     ok = 0
@@ -183,7 +182,7 @@ def relative_error_ensemble(
             problem, params, base_seed + s, m=1, method=method, diagnostics=True
         )
         diag = out.diagnostics
-        bounds = predicted_error_bounds(kappa, diag.gamma, eps, x_norm, z, sigma_min)
+        bounds = predicted_error_bounds(diag.kappa, diag.gamma, eps, x_norm, z, diag.sigma_min)
         residual_bound = bounds.residual_bound * (1.0 + _FP_GUARD)
         if out.residual_tilde <= residual_bound:
             ok += 1
@@ -352,13 +351,13 @@ def standard_suite(
     quick: bool = False, base_seed: int = 0, seeds: Optional[int] = None
 ) -> list[EnsembleResult]:
     """The ensembles printed by `sketchlsq verify`, at their standard sizes,
-    a quarter budget with quick=True, or a uniform per-ensemble count."""
+    a quarter budget with quick=True, or a uniform per-ensemble count >= 2."""
+    if seeds is not None and seeds < 2:
+        raise InvalidSpec(f"seeds must be >= 2 (a standard error needs two draws), got {seeds}")
     scale = 0.25 if quick else 1.0
 
     def s(count: int) -> int:
-        if seeds is not None:
-            return max(2, seeds)
-        return max(10, int(count * scale))
+        return seeds if seeds is not None else max(10, int(count * scale))
 
     results = list(energy_spreading(seeds=s(200), base_seed=base_seed))
     results.append(embedding_ensemble(METHOD_SAMPLING, seeds=s(100), base_seed=base_seed))

@@ -144,7 +144,11 @@ def project_out(u, b) -> np.ndarray:
 
 def condition_number(a) -> float:
     """sigma_max / sigma_min of a full-column-rank tall matrix."""
-    sv = gram_singular_values(a)
+    return condition_from_singular_values(gram_singular_values(a))
+
+
+def condition_from_singular_values(sv: np.ndarray) -> float:
+    """sigma_max / sigma_min from singular values in descending order."""
     if sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient(
             f"singular-value ratio {sv[-1]:.3e}/{sv[0]:.3e} below {RANK_TOL:g}"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .linalg import orthonormal_basis, project_out
-from .rng import stream
+from .rng import check_seed, stream
 from .solver import LsProblem
 
 KIND_GAUSSIAN = "gaussian-incoherent"
@@ -29,7 +29,7 @@ _COHERENT_SPIKE = 64.0
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Recipe for one synthetic problem."""
+    """Recipe for one synthetic problem, checked in full on construction."""
 
     kind: str
     n: int
@@ -47,6 +47,9 @@ class ProblemSpec:
             raise InvalidSpec(f"need finite kappa >= 1, got {self.kappa}")
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidSpec(f"need gamma in (0, 1], got {self.gamma}")
+        if self.d == 1 and self.kappa != 1.0:
+            raise InvalidSpec("a single-column matrix always has kappa = 1")
+        check_seed(self.seed)
 
 
 def _range_basis(spec: ProblemSpec) -> np.ndarray:
@@ -82,8 +85,6 @@ def gen_problem(spec: ProblemSpec) -> LsProblem:
     kappa(A) hits the target exactly up to roundoff, and the fraction of
     ||b|| inside range(A) equals gamma by construction.
     """
-    if spec.d == 1 and spec.kappa != 1.0:
-        raise InvalidSpec("a single-column matrix always has kappa = 1")
     u = _range_basis(spec)
     sv = _spectrum(spec)
     v = orthonormal_basis(stream(spec.seed, "problem/rotation").standard_normal((spec.d, spec.d)))

@@ -13,15 +13,18 @@ import numpy as np
 from .errors import InvalidSpec
 
 
-def stream(seed: int, label: str = "") -> np.random.Generator:
-    """Return the generator for the stream identified by (seed, label).
-
-    The seed must lie in [0, 2^64): a seed outside it would alias one
-    inside it, so it raises `InvalidSpec` instead.
-    """
+def check_seed(seed: int) -> int:
+    """`seed` as an int; `InvalidSpec` unless it lies in [0, 2^64), since a
+    seed outside that range would alias one inside it."""
     seed = int(seed)
     if not 0 <= seed < 1 << 64:
         raise InvalidSpec(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
+def stream(seed: int, label: str = "") -> np.random.Generator:
+    """Return the generator for the stream identified by (seed, label)."""
+    seed = check_seed(seed)
     word = int.from_bytes(
         hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little"
     )

@@ -62,7 +62,7 @@ from .hadamard import (
 from .linalg import (
     as_matrix,
     as_vector,
-    condition_number,
+    condition_from_singular_values,
     gram_singular_values,
     orthonormal_basis,
     project_out,
@@ -132,7 +132,8 @@ class Diagnostics:
 
     `cross_term` is the squared norm ||(X U)^T X b_perp||^2, so it overflows
     to inf once entries exceed ~1e154; `cross_term_ok` compares norms and
-    stays exact at any scale.
+    stays exact at any scale. `kappa` and `sigma_min` are A's, from one SVD
+    of the d x d matrix U^T A, ready for `predicted_error_bounds`.
     """
 
     sigma_xu: np.ndarray
@@ -140,6 +141,7 @@ class Diagnostics:
     z: float
     gamma: float
     kappa: float
+    sigma_min: float
     embedding_ok: bool
     cross_term_ok: bool
 
@@ -300,11 +302,13 @@ def _diagnostics(pad: PaddedProblem, d_signs: SignDiagonal, op, eps: float) -> D
     z = float(norm(bperp))
     both = _apply(op, _transform(op, np.column_stack([u, bperp]), d_signs))
     check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
+    # A = U (U^T A), so A has the singular values of U^T A, a d x d matrix.
+    sv = gram_singular_values(u.T @ pad.a_pad)
     return Diagnostics(
         z=z,
         gamma=gamma_fraction(u, pad.b_pad),
-        # A = U (U^T A), so kappa(A) = kappa(U^T A), a d x d matrix.
-        kappa=condition_number(u.T @ pad.a_pad),
+        kappa=condition_from_singular_values(sv),
+        sigma_min=float(sv[-1]),
         **vars(check),
     )
 

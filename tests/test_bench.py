@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sketchlsq import ensembles
+from sketchlsq import bench, ensembles
 from sketchlsq.bench import (
     emit_report,
     load_config,
@@ -17,12 +19,13 @@ from sketchlsq.errors import ConfigError
 from sketchlsq.problems import KINDS
 
 
+_PROBLEM = {"kind": "gaussian-incoherent", "n": 256, "d": 4, "kappa": 10.0,
+            "gamma": 0.9, "seed": 1}
+
+
 def _base_config(**overrides):
     config = {
-        "problems": [
-            {"kind": "gaussian-incoherent", "n": 256, "d": 4, "kappa": 10.0,
-             "gamma": 0.9, "seed": 1}
-        ],
+        "problems": [_PROBLEM],
         "methods": ["exact"],
         "epsilon": 0.5,
         "seeds": 2,
@@ -113,6 +116,16 @@ def test_config_bad_json(tmp_path):
         ({"q": 3.0}, "q"),
         ({"best_of": 0}, "best_of"),
         ({"bogus_key": 1}, "config"),
+        ({"problems": [{**_PROBLEM, "kappa": "abc"}]}, "problems[0].kappa"),
+        ({"problems": [{**_PROBLEM, "kappa": None}]}, "problems[0].kappa"),
+        ({"problems": [{**_PROBLEM, "kappa": 0.5}]}, "kappa"),
+        ({"problems": [{**_PROBLEM, "gamma": 0}]}, "gamma"),
+        ({"problems": [{**_PROBLEM, "seed": "x"}]}, "problems[0].seed"),
+        ({"problems": [{**_PROBLEM, "seed": -1}]}, "seed"),
+        ({"problems": [{**_PROBLEM, "n": True, "d": 1}]}, "problems[0].n"),
+        ({"r": True}, "r"),
+        ({"best_of": True}, "best_of"),
+        ({"seeds": [1.5]}, "seeds"),
     ],
 )
 def test_config_validation_errors(mutation, context):
@@ -120,6 +133,21 @@ def test_config_validation_errors(mutation, context):
     with pytest.raises(ConfigError) as err:
         validate_config(config)
     assert context in str(err.value)
+
+
+def test_bad_later_problem_raises_before_any_problem_is_generated(monkeypatch):
+    generated = []
+    monkeypatch.setattr(bench, "gen_problem", generated.append)
+    config = _base_config(problems=[_PROBLEM, {**_PROBLEM, "kappa": 0.5}])
+    with pytest.raises(ConfigError, match=r"problems\[1\]"):
+        run_experiment(config)
+    assert generated == []
+
+
+def test_readme_config_example_validates():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert validate_config(json.loads(example))["problems"]
 
 
 def test_gamma_one_consistent_system_rows():

@@ -148,6 +148,14 @@ def test_verify_prints_rates(monkeypatch, capsys):
     assert "[FAIL] beta" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "1"])
+def test_verify_seeds_below_two_exits_1(capsys, seeds):
+    # The moment ensemble's standard error needs two draws per ensemble.
+    assert cli.main(["verify", "--quick", "--seeds", seeds]) == 1
+    err = capsys.readouterr().err
+    assert "seeds must be >= 2" in err and f"got {seeds}" in err
+
+
 def test_verify_strict_exit(monkeypatch):
     canned = [EnsembleResult("beta", 50, 100, 0.9)]
     monkeypatch.setattr(cli.ensembles, "standard_suite", lambda **kw: canned)

@@ -273,6 +273,7 @@ def test_diagnostics_kappa_matches_a_known_spectrum(n, kappa):
     b = np.random.default_rng(8).standard_normal(n)
     out = sketch_solve_sampling(LsProblem(a, b), _params(), 23, diagnostics=True)
     assert out.diagnostics.kappa == pytest.approx(kappa, rel=1e-6)
+    assert out.diagnostics.sigma_min == pytest.approx(1.0 / kappa, rel=1e-6)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
