@@ -23,6 +23,7 @@ from .solver import (
     METHOD_CGNR,
     METHOD_PROJECTION,
     METHOD_SAMPLING,
+    check_sketch_size,
     exact_outcome,
     predicted_error_bounds,
     sketch_solve_best_of,
@@ -242,6 +243,9 @@ def _sweep(raw) -> tuple[list, dict]:
         # With eps, r, k and q each valid, only the theory sizes can fail (eps >= 1/2).
         params = _built("epsilon", SketchParams.with_overrides, spec.n, spec.d,
                         config["epsilon"], config["theory"], config["r"], config["k"], config["q"])
+        for method in config["methods"]:
+            if method != METHOD_EXACT:
+                _built(ctx, check_sketch_size, method, params, spec.d)
         cells.append((spec, params))
     return cells, config
 
@@ -259,7 +263,8 @@ def load_config(path) -> dict:
 def validate_config(raw: dict) -> dict:
     """`raw` unchanged if it is a valid config, else a ConfigError naming the
     bad field. JSON types are checked here; ranges by building every problem's
-    `ProblemSpec` and `SketchParams` and by `rng.check_seed`, solving nothing."""
+    `ProblemSpec` and `SketchParams`, by `check_sketch_size` for each method
+    and by `rng.check_seed`, solving nothing."""
     _sweep(raw)
     return raw
 

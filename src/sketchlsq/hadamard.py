@@ -16,6 +16,17 @@ row. Each stage updates (top, bottom) in place through one scratch buffer,
 so a transform makes about two passes over memory instead of one per stage.
 Every element sees the same additions in the same stage order as the plain
 stage-by-stage butterfly, so the results are bit-for-bit the same.
+
+The full transform runs on every core (`workers.split`): first the
+outer-stage chunks, then the cache blocks, are shared out as one
+contiguous run per worker, each worker with its own scratch. The runs touch
+disjoint rows, so the bytes do not depend on the core count. A transform
+that fits one cache block, and an object array (its elements run Python),
+stay on the calling thread. The pruned descent stays serial too: OpenBLAS
+leaves its idle thread spinning on the other core for a while after each
+multithreaded BLAS call, so a threaded descent slowed from 0.034 s to
+0.048 s when it ran right after the solver's QR (2^17 x 31, r = 2265), and
+lost end to end.
 """
 
 import math
@@ -23,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidSpec, NotPowerOfTwo
 from .rng import stream
 
@@ -144,17 +156,17 @@ def _stage(top: np.ndarray, bot: np.ndarray, scratch: np.ndarray):
     bot[...] = diff
 
 
-def _outer_stages(work, rows, width, scratch, live_blocks=None):
+def _outer_stages(blocks, width, scratch, live_blocks=None):
     """The stages whose stride is a whole cache block or more, in place.
 
-    Viewed as (nblocks, rows, d), these stages mix only along the first
-    axis, so all of them run on one `width`-row slice of the middle axis
-    before the next slice is touched. With `live_blocks` (sorted cache-block
-    ids), a stage updates only the butterfly blocks that contain one of
-    them, as the pruned descent does.
+    `blocks` is the array viewed as (nblocks, rows, d), or a run of its
+    middle axis. These stages mix only along the first axis, so all of them
+    run on one `width`-row slice of the middle axis before the next slice
+    is touched. With `live_blocks` (sorted cache-block ids), a stage
+    updates only the butterfly blocks that contain one of them, as the
+    pruned descent does.
     """
-    n, d = work.shape
-    nblocks = n // rows
+    nblocks, rows, d = blocks.shape
     stages = []
     m = nblocks
     while m > 1:
@@ -168,7 +180,7 @@ def _outer_stages(work, rows, width, scratch, live_blocks=None):
     for j in range(0, rows, width):
         for m, live in stages:
             h = m // 2
-            v = work.reshape(nblocks // m, 2, h, rows, d)[:, :, :, j : j + width]
+            v = blocks.reshape(nblocks // m, 2, h, rows, d)[:, :, :, j : j + width]
             if live is None:
                 _stage(v[:, 0], v[:, 1], scratch)
             else:
@@ -177,25 +189,42 @@ def _outer_stages(work, rows, width, scratch, live_blocks=None):
                 v[live] = sub
 
 
+def _inline(fn, count: int):
+    fn(0, count)
+
+
 def _butterfly(work: np.ndarray):
     """Unnormalized Hadamard butterfly along axis 0, in place.
 
     Stage stride runs n/2, n/4, ..., 1, so each block update is
     (top + bottom, top - bottom) and output rows land in natural order.
     The stages whose stride spans whole cache blocks run first, a chunk at a
-    time; the rest then run one cache block at a time.
+    time; the rest then run one cache block at a time. Within each phase
+    the chunks, and then the cache blocks, are shared out across the
+    workers, each with its own scratch.
     """
     n, d = work.shape
     rows, width = _blocking(n, d)
-    scratch = _scratch(work, rows, width)
-    _outer_stages(work, rows, width, scratch)
-    for start in range(0, n, rows):
-        block = work[start : start + rows]
-        h = rows // 2
-        while h >= 1:
-            w = block.reshape(-1, 2, h, d)
-            _stage(w[:, 0], w[:, 1], scratch)
-            h //= 2
+    blocks = work.reshape(n // rows, rows, d)
+
+    def outer(lo, hi):
+        scratch = _scratch(work, rows, width)
+        _outer_stages(blocks[:, lo * width : hi * width], width, scratch)
+
+    def inner(lo, hi):
+        scratch = _scratch(work, rows, width)
+        for block in blocks[lo:hi]:
+            h = rows // 2
+            while h >= 1:
+                w = block.reshape(-1, 2, h, d)
+                _stage(w[:, 0], w[:, 1], scratch)
+                h //= 2
+
+    # Object arrays run Python on every element and may count shared state.
+    run = _inline if work.dtype == object else workers.split
+    if n > rows:
+        run(outer, rows // width)
+    run(inner, n // rows)
 
 
 def _scale(n: int) -> float:
@@ -293,7 +322,7 @@ def _pruned_rows(work: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     rows, width = _blocking(n, d)
     scratch = _scratch(work, rows, width)
     block_of = wanted // rows
-    _outer_stages(work, rows, width, scratch, live_blocks=block_of)
+    _outer_stages(work.reshape(n // rows, rows, d), width, scratch, live_blocks=block_of)
     out = np.empty((wanted.shape[0], d), dtype=work.dtype)
     firsts = np.flatnonzero(np.diff(block_of, prepend=-1))
     for first, last in zip(firsts, [*firsts[1:], wanted.shape[0]]):

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse
+from scipy.sparse import _sparsetools
 
+from . import workers
 from .errors import DimensionMismatch, InvalidEpsilon, InvalidSparsity, InvalidSpec
 from .rng import stream
 
@@ -29,7 +30,8 @@ _PRACTICAL_K_FACTOR = 4.0
 _PRACTICAL_C_Q = 0.1
 
 # Geometric gaps per batch in the projection draw (1 MB of int64), so a
-# draw holds at most one batch of int64 positions.
+# draw holds at most one batch of int64 positions. Also the fewest nonzeros
+# whose product is worth sharing out across the workers.
 _CHUNK = 1 << 17
 
 
@@ -322,8 +324,16 @@ def draw_sparse_projection(
 def apply_sparse_projection(t: SparseProjection, m) -> np.ndarray:
     """Product T m in O(nnz(T) * cols(m)) time, for a vector or a matrix m.
 
-    Each row sums its nonzeros in ascending column order; a fully dense
-    draw (q = 1) goes through BLAS instead.
+    Each row sums its nonzeros from zero in ascending column order, by
+    scipy's CSR kernel, the one `csr_matrix @ m` calls. From `_CHUNK`
+    nonzeros on, the k rows are cut into one run per worker
+    (`workers.split`), each summed into its own rows of one output that the
+    calling thread allocates first; below that, or with a single row, the
+    calling thread does it all. The bytes are those of the serial product
+    either way, and building no per-worker matrix keeps peak memory flat. A
+    fully dense draw (q = 1) goes through BLAS instead. The draw stays on
+    the calling thread: its geometric gaps come from one stream in order,
+    and split draws would change the bytes.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim not in (1, 2) or m.shape[0] != t.n:
@@ -331,5 +341,26 @@ def apply_sparse_projection(t: SparseProjection, m) -> np.ndarray:
     if t.nnz == t.k * t.n:
         # The signs fill the grid in row-major order.
         return (t.signs.reshape(t.k, t.n) @ m) * t.magnitude
-    sp = scipy.sparse.csr_matrix((t.signs, t.cols, t.indptr), shape=(t.k, t.n))
-    return (sp @ m) * t.magnitude
+    out = np.zeros((t.k, *m.shape[1:]))
+    # Row-major operand and output, as the kernel reads them; scipy also
+    # takes a single column as a vector.
+    x, width = m.ravel(), (1 if m.ndim == 1 else m.shape[1])
+    index = np.int32 if max(t.nnz, t.n) < 2**31 else np.int64
+    indptr, cols = t.indptr.astype(index, copy=False), t.cols.astype(index, copy=False)
+    signs = t.signs.astype(np.float64, copy=False)
+
+    def rows(lo, hi):
+        y = out[lo:hi].reshape(-1)
+        if width == 1:
+            _sparsetools.csr_matvec(hi - lo, t.n, indptr[lo : hi + 1], cols, signs, x, y)
+        else:
+            _sparsetools.csr_matvecs(
+                hi - lo, t.n, width, indptr[lo : hi + 1], cols, signs, x, y
+            )
+
+    if t.nnz < _CHUNK:
+        rows(0, t.k)
+    else:
+        workers.split(rows, t.k)
+    out *= t.magnitude
+    return out

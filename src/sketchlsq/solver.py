@@ -374,6 +374,22 @@ def _sketch_solve(
     )
 
 
+def check_sketch_size(method: str, params: SketchParams, d: int):
+    """Raise InvalidSpec unless `params` holds the sizes `method`'s pipeline
+    reads, r for sampling and cgnr or (k, q) for projection, with at least
+    d sketch rows."""
+    if method == METHOD_PROJECTION:
+        if params.k is None or params.q is None:
+            raise InvalidSpec("params.k and params.q are required for the projection pipeline")
+        name, size = "k", params.k
+    else:
+        if params.r is None:
+            raise InvalidSpec("params.r is required for the sampling pipeline")
+        name, size = "r", params.r
+    if size < d:
+        raise InvalidSpec(f"need {name} >= d, got {name}={size}, d={d}")
+
+
 def sketch_solve_sampling(
     problem: LsProblem,
     params: SketchParams,
@@ -392,10 +408,7 @@ def sketch_solve_sampling(
     solution. If the sketched matrix loses rank, the solve retries once on
     the next derived stream, then fails.
     """
-    if params.r is None:
-        raise InvalidSpec("params.r is required for the sampling pipeline")
-    if params.r < problem.d:
-        raise InvalidSpec(f"need r >= d, got r={params.r}, d={problem.d}")
+    check_sketch_size(METHOD_SAMPLING, params, problem.d)
 
     def draw(padded_n: int, label: str) -> SamplingPlan:
         if params.r >= padded_n:
@@ -419,10 +432,7 @@ def sketch_solve_projection(
     stream_prefix: str = "",
 ) -> SketchOutcome:
     """Transform (A, b), apply the sparse projection, solve the k x d problem."""
-    if params.k is None or params.q is None:
-        raise InvalidSpec("params.k and params.q are required for the projection pipeline")
-    if params.k < problem.d:
-        raise InvalidSpec(f"need k >= d, got k={params.k}, d={problem.d}")
+    check_sketch_size(METHOD_PROJECTION, params, problem.d)
     # The (0, 1/2) range belongs to the closed-form size formula; the
     # pipeline itself runs for any eps in (0, 1) (SketchParams enforces it).
 

@@ -231,3 +231,27 @@ def test_11_sampling_beats_exact_qr_wall_clock():
         f"sampled={perf['sketch_median_s']:.3f}s exact={perf['exact_median_s']:.3f}s "
         f"r={perf['r']} median of {perf['runs']}",
     )
+
+
+@pytest.mark.perf
+def test_12_pooled_butterfly_beats_one_worker(monkeypatch):
+    from sketchlsq import hadamard, workers
+
+    pooled = workers.WORKERS
+    if pooled < 2:
+        pytest.skip("one core: nothing to share the butterfly with")
+    work = np.random.default_rng(0).standard_normal((2**17, 21))
+    times = {1: [], pooled: []}
+    for _ in range(9):
+        for count in times:
+            monkeypatch.setattr(workers, "WORKERS", count)
+            w = work.copy()
+            t0 = time.perf_counter()
+            hadamard._butterfly(w)
+            times[count].append(time.perf_counter() - t0)
+    speedup = np.median(times[1]) / np.median(times[pooled])
+    assert _report(
+        "criterion 12: butterfly on every core vs one (opt-in)",
+        speedup >= 1.3,
+        f"{pooled} workers {speedup:.2f}x faster, median of 9 interleaved runs at (2^17, 21)",
+    )

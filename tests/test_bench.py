@@ -144,6 +144,24 @@ def test_bad_later_problem_raises_before_any_problem_is_generated(monkeypatch):
     assert generated == []
 
 
+@pytest.mark.parametrize(
+    "method,size", [("sampling", {"r": 2}), ("cgnr", {"r": 3}), ("projection", {"k": 2})]
+)
+def test_sketch_smaller_than_d_fails_validation_before_any_solve(monkeypatch, method, size):
+    generated = []
+    monkeypatch.setattr(bench, "gen_problem", generated.append)
+    config = _base_config(methods=["exact", method], **size)
+    (name,) = size
+    with pytest.raises(ConfigError, match=rf"problems\[0\]: need {name} >= d"):
+        validate_config(config)
+    with pytest.raises(ConfigError, match=rf"need {name} >= d"):
+        run_experiment(config)
+    assert generated == []
+    # A size no listed method reads is not checked.
+    other = "projection" if name == "r" else "sampling"
+    assert validate_config(_base_config(methods=[other], **size))
+
+
 def test_readme_config_example_validates():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
