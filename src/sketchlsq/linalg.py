@@ -7,12 +7,23 @@ eigensolve, and orthogonal projections.
 
 All functions are pure: inputs are validated (finite entries, compatible
 shapes) and never mutated, so concurrent calls on shared arrays are safe.
+
+LAPACK and BLAS come from numpy's OpenBLAS: QR, SVD, the symmetric
+eigensolve and every product. This is the only module that imports
+`scipy.linalg`, for two kernels numpy lacks. scipy ships a second OpenBLAS
+with a thread pool of its own, and both kernels run serially in it, so that
+pool never wakes to contend with numpy's for the cores:
+
+  - `solve_triangular`, the d x d back substitution of every small solve,
+    which fixes the bytes of every sketched solution;
+  - `norm`, BLAS nrm2 on vectors, a scaled sum of squares that neither
+    overflows nor underflows at entry scales of 1e+-300 (`vector_norm`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular, svdvals
+from scipy.linalg import norm, solve_triangular
 
 from .errors import DimensionMismatch, InvalidSpec, RankDeficient
 
@@ -111,14 +122,22 @@ def orthonormal_basis(a) -> np.ndarray:
 def gram_singular_values(m) -> np.ndarray:
     """Singular values of a tall matrix, descending, each >= 0.
 
-    LAPACK's SVD of m itself (`scipy.linalg.svdvals`). The Gram matrix
-    m.T @ m is never formed, so the condition number is not squared: each
-    value is accurate to about machine epsilon times sigma_max.
+    LAPACK's SVD of m itself (gesdd, `np.linalg.svd` without vectors). The
+    Gram matrix m.T @ m is never formed, so the condition number is not
+    squared: each value is accurate to about machine epsilon times
+    sigma_max.
     """
     m = as_matrix(m)
     if m.shape[0] < m.shape[1]:
         raise DimensionMismatch(f"need rows >= cols, got {m.shape[0]} x {m.shape[1]}")
-    return svdvals(m, check_finite=False)
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def vector_norm(v) -> float:
+    """Euclidean norm of a vector by BLAS nrm2, accurate to roundoff at
+    any entry scale where the norm itself is finite, where np.linalg.norm
+    squares the entries and overflows past ~1e154."""
+    return float(norm(v))
 
 
 def spectral_norm_sym(m) -> float:

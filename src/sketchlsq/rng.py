@@ -7,6 +7,7 @@ same pair always reproduces the same draws.
 """
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -14,9 +15,15 @@ from .errors import InvalidSpec
 
 
 def check_seed(seed: int) -> int:
-    """`seed` as an int; `InvalidSpec` unless it lies in [0, 2^64), since a
-    seed outside that range would alias one inside it."""
-    seed = int(seed)
+    """`seed` as an int; `InvalidSpec` unless it is an integer in
+    [0, 2^64), numpy integers included and bools not, since any other value
+    would alias a seed in that range: int(1.5) and int(True) are both 1."""
+    if isinstance(seed, bool):
+        raise InvalidSpec(f"seed must be an integer, got {seed!r}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidSpec(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 1 << 64:
         raise InvalidSpec(f"seed must lie in [0, 2^64), got {seed}")
     return seed

@@ -38,9 +38,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-# BLAS nrm2 on vectors: a scaled sum of squares that neither overflows nor
-# underflows at extreme entry scales, unlike np.linalg.norm.
-from scipy.linalg import norm
 
 from .errors import (
     ConvergenceFailure,
@@ -67,6 +64,7 @@ from .linalg import (
     orthonormal_basis,
     project_out,
     solve_exact_ls,
+    vector_norm,
 )
 from .sketches import (
     SamplingPlan,
@@ -167,10 +165,10 @@ def gamma_fraction(u, b) -> float:
     b = as_vector(b)
     if u.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"basis has {u.shape[0]} rows, vector has {b.shape[0]}")
-    nb = float(norm(b))
+    nb = vector_norm(b)
     if nb == 0.0:
         raise ZeroRhs("gamma undefined for b = 0")
-    g = float(norm(u.T @ b)) / nb
+    g = vector_norm(u.T @ b) / nb
     if g > 1.0 + 1e-12:
         raise InvalidGamma(f"computed fraction {g} exceeds 1")
     return min(g, 1.0)
@@ -190,7 +188,7 @@ def verify_conditions(xu, xbperp, z: float, eps: float) -> ConditionCheck:
     sigma = gram_singular_values(xu)
     # ||v|| <= Z sqrt(eps/2) is ||v||^2 <= eps Z^2 / 2 without the squares,
     # which overflow or underflow at extreme scales.
-    cross = float(norm(xu.T @ xbperp))
+    cross = vector_norm(xu.T @ xbperp)
     return ConditionCheck(
         sigma_xu=sigma,
         cross_term=cross * cross,
@@ -299,7 +297,7 @@ def _apply(op, hd: np.ndarray) -> np.ndarray:
 def _diagnostics(pad: PaddedProblem, d_signs: SignDiagonal, op, eps: float) -> Diagnostics:
     u = orthonormal_basis(pad.a_pad)
     bperp = project_out(u, pad.b_pad)
-    z = float(norm(bperp))
+    z = vector_norm(bperp)
     both = _apply(op, _transform(op, np.column_stack([u, bperp]), d_signs))
     check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
     # A = U (U^T A), so A has the singular values of U^T A, a d x d matrix.
@@ -343,10 +341,16 @@ def _sketch_solve(
         the_op = op if (op is not None and attempt == 0) else draw(
             pad.padded_n, f"{stream_prefix}{draw_label}:{attempt}"
         )
-        hd = _transform(the_op, pad.stacked, d_signs)
-        t1 = time.perf_counter()
-        sketched = _apply(the_op, hd)
+        # Finite entries near the float64 limit can still overflow in the
+        # transform's sums; one check of the small result below names the
+        # cause instead of a warning per stage.
+        with np.errstate(over="ignore", invalid="ignore"):
+            hd = _transform(the_op, pad.stacked, d_signs)
+            t1 = time.perf_counter()
+            sketched = _apply(the_op, hd)
         t2 = time.perf_counter()
+        if not np.isfinite(sketched).all():
+            raise InvalidSpec("the sketch of [A | b] overflowed float64; scale A and b down")
         try:
             x = _small_solve(sketched[:, :-1], sketched[:, -1], small_solver)
         except RankDeficient:
@@ -359,7 +363,7 @@ def _sketch_solve(
         timings["sketch-apply"] = t2 - t1
         timings["small-solve"] = t3 - t2
         break
-    residual = float(norm(problem.a @ x - problem.b))
+    residual = vector_norm(problem.a @ x - problem.b)
     diag = _diagnostics(pad, d_signs, the_op, params.epsilon) if diagnostics else None
     timings["total"] = time.perf_counter() - t_start
     return SketchOutcome(
@@ -490,5 +494,5 @@ def sketch_solve_best_of(
 def exact_outcome(problem: LsProblem) -> tuple[np.ndarray, float]:
     """Exact solution and optimal residual of the full problem."""
     x = solve_exact_ls(problem.a, problem.b)
-    z = float(norm(problem.a @ x - problem.b))
+    z = vector_norm(problem.a @ x - problem.b)
     return x, z

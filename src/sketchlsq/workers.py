@@ -11,6 +11,7 @@ helpers, never a function the solver looks up by name, so every traced
 call stays on the calling thread.
 """
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -57,7 +58,12 @@ def split(fn, count: int):
         return
     cuts = [count * p // parts for p in range(parts + 1)]
     pool = _executor()
-    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    # Each run sees the caller's context variables, np.errstate among them;
+    # a pool thread would otherwise keep its own.
+    futures = [
+        pool.submit(contextvars.copy_context().run, fn, lo, hi)
+        for lo, hi in zip(cuts[1:-1], cuts[2:])
+    ]
     try:
         fn(cuts[0], cuts[1])
     finally:

@@ -13,7 +13,10 @@ from sketchlsq.hadamard import (
     sample_signs,
 )
 from sketchlsq.linalg import solve_exact_ls
+from sketchlsq.problems import KIND_GAUSSIAN, ProblemSpec, gen_problem
 from sketchlsq.rng import stream
+from sketchlsq.sketches import SketchParams
+from sketchlsq.solver import sketch_solve_sampling
 
 
 def test_fwht_two_point():
@@ -258,6 +261,20 @@ def test_seed_outside_64_bits_raises(seed):
         stream(seed, "signs")
     with pytest.raises(InvalidSpec):
         sample_signs(8, seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_non_integer_seed_raises(seed):
+    # int() would map both onto seed 1 and draw its bytes.
+    with pytest.raises(InvalidSpec, match="integer"):
+        stream(seed, "signs")
+    with pytest.raises(InvalidSpec, match="integer"):
+        sample_signs(64, seed)
+    with pytest.raises(InvalidSpec, match="integer"):
+        ProblemSpec(kind=KIND_GAUSSIAN, n=64, d=2, kappa=2.0, gamma=0.9, seed=seed)
+    problem = gen_problem(ProblemSpec(kind=KIND_GAUSSIAN, n=64, d=2, kappa=2.0, gamma=0.9, seed=1))
+    with pytest.raises(InvalidSpec, match="integer"):
+        sketch_solve_sampling(problem, SketchParams(epsilon=0.5, r=16), seed)
 
 
 def test_largest_64_bit_seed_draws():

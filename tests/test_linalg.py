@@ -1,6 +1,12 @@
+import importlib
+import pkgutil
+import types
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import sketchlsq
 from sketchlsq.errors import DimensionMismatch, InvalidSpec, RankDeficient
 from sketchlsq.linalg import (
     as_matrix,
@@ -13,6 +19,7 @@ from sketchlsq.linalg import (
     solve_exact_ls,
     spectral_norm_sym,
 )
+from sketchlsq.problems import KIND_ILL_CONDITIONED, ProblemSpec, gen_problem
 from oracles import charpoly_singular_values, known_spectrum_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -138,6 +145,41 @@ def test_singular_values_match_a_known_spectrum(kappa):
     a, s = known_spectrum_matrix(2**12, 10, kappa, seed=7)
     assert np.abs(gram_singular_values(a) / s - 1.0).max() <= 1e-6
     assert condition_number(a) == pytest.approx(kappa, rel=1e-6)
+
+
+def _svd_cases():
+    rng = np.random.default_rng(31)
+    ill = gen_problem(ProblemSpec(KIND_ILL_CONDITIONED, 4096, 10, 1e10, 0.9, 5)).a
+    both = rng.standard_normal((573, 11))
+    return {
+        "tall": rng.standard_normal((3461, 50)),
+        "square": rng.standard_normal((50, 50)),
+        "d=1": rng.standard_normal((100, 1)),
+        "kappa=1e10": ill,
+        # The solver passes a column slice of the sketched [U | b_perp].
+        "strided view": both[:, :-1],
+    }
+
+
+@pytest.mark.parametrize("name", list(_svd_cases()))
+def test_gram_singular_values_are_scipys_svdvals_bytes(name):
+    # Moving the SVD from scipy's LAPACK to numpy's kept every byte: the
+    # same gesdd driver on the same input.
+    m = _svd_cases()[name]
+    assert gram_singular_values(m).tobytes() == scipy.linalg.svdvals(m).tobytes()
+
+
+def test_only_linalg_holds_scipy_linalg():
+    # scipy's LAPACK brings a second BLAS thread pool that contends with
+    # numpy's; linalg keeps just the two serial kernels numpy lacks.
+    held = {}
+    for info in pkgutil.iter_modules(sketchlsq.__path__):
+        module = importlib.import_module(f"sketchlsq.{info.name}")
+        for name, obj in vars(module).items():
+            origin = obj.__name__ if isinstance(obj, types.ModuleType) else getattr(obj, "__module__", None)
+            if isinstance(origin, str) and origin.startswith("scipy.linalg"):
+                held.setdefault(info.name, set()).add(name)
+    assert held == {"linalg": {"solve_triangular", "norm"}}
 
 
 def test_spectral_norm_diagonal():

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import sketchlsq.solver as solver_mod
+from sketchlsq import hadamard, workers
 from sketchlsq.errors import (
     ConvergenceFailure,
     InvalidEpsilon,
@@ -297,6 +299,40 @@ def test_norms_survive_extreme_scales(frozen_projection_draw, gaussian_problem, 
     small = _params(r=16, k=16, q=0.3)
     assert not solve(gaussian_problem, small, 24, diagnostics=True).diagnostics.cross_term_ok
     assert not solve(scaled, small, 24, diagnostics=True).diagnostics.cross_term_ok
+
+
+@pytest.fixture(params=["inline", "pooled"])
+def butterfly_path(request, monkeypatch):
+    """Run the full butterfly on the calling thread, or on small cache
+    blocks shared out across a pool of three workers."""
+    monkeypatch.setattr(workers, "_pool", None)
+    if request.param == "inline":
+        yield request.param
+        return
+    monkeypatch.setattr(hadamard, "_BLOCK", 256)
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    yield request.param
+    if workers._pool is not None:
+        workers._pool.shutdown()
+
+
+@pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
+def test_overflow_in_the_sketch_is_named(butterfly_path, solve):
+    # Entries of 1e307 are finite, but the butterfly's sums are not. The
+    # error names the overflow, not a NaN matrix the caller never passed,
+    # and no RuntimeWarning escapes, not even from a pool thread. r covers
+    # more than a sixth of the rows, so sampling runs the full butterfly.
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((4096, 5)), rng.standard_normal(4096)
+    params = _params(r=1024, k=40, q=0.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidSpec, match="overflowed float64"):
+            solve(LsProblem(a * 1e307, b * 1e307), params, 1)
+        out = solve(LsProblem(a * 1e305, b * 1e305), params, 1)
+    assert caught == []
+    assert np.isfinite(out.x_tilde).all()
+    assert (workers._pool is not None) == (butterfly_path == "pooled")
 
 
 def test_retry_once_on_rank_loss(gaussian_problem, monkeypatch):
