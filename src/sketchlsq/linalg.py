@@ -99,14 +99,20 @@ def solve_exact_ls(a, b) -> np.ndarray:
     """Minimizer of ||a x - b||_2 for a full-column-rank tall matrix.
 
     Solves through the thin QR factorization, so the residual satisfies the
-    normal equations to roundoff.
+    normal equations to roundoff. When the solve overflows float64 (Q^T b
+    near the float64 limit, or a minimizer beyond it: a small but
+    full-rank a against a large b), it raises InvalidSpec instead.
     """
     a = as_matrix(a)
     b = as_vector(b)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
     f = qr_factor(a)
-    return solve_triangular(f.r, f.q.T @ b, lower=False, check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solve_triangular(f.r, f.q.T @ b, lower=False, check_finite=False)
+    if not np.isfinite(x).all():
+        raise InvalidSpec("the least-squares solve overflowed float64; scale A and b toward 1")
+    return x
 
 
 def orthonormal_basis(a) -> np.ndarray:

@@ -5,7 +5,10 @@ row sampling with replacement (rescaled by sqrt(n/r)) and a sparse random
 projection whose nonzero cells are +-1/sqrt(kq), drawn straight into CSR
 form from O(nnz) random numbers: geometric skips between nonzero cells on
 the (seed, label + "/positions") stream, one raw sign byte per nonzero on
-the (seed, label) stream. The sizes come in two fixed sets: the
+the (seed, label) stream. The skips are numpy's own geometric variates:
+below q = 1/3 its inversion ceil(-E / log1p(-q)) of standard exponentials
+E, drawn as exponentials with log1p(-q) taken once per batch, and from 1/3
+on `Generator.geometric` itself. The sizes come in two fixed sets: the
 paper's closed forms, which exceed n at desk scale (so they clamp to n and
 flag that they did), and the practical sizes experiments normally run with.
 """
@@ -268,6 +271,35 @@ class SparseProjection:
         return out
 
 
+def _batch_size(cells: int, q: float) -> int:
+    """Gaps to draw for `cells` cells still open: their expected nonzeros
+    plus four standard deviations and 16, at most `_CHUNK`."""
+    expect = cells * q
+    return min(_CHUNK, int(expect + 4.0 * math.sqrt(expect)) + 16)
+
+
+def _geometric_gaps(rng, q: float, cap: int, exps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`np.minimum(rng.geometric(q, out.shape), cap)` written into `out`,
+    bit for bit and from the same stream.
+
+    Below q = 1/3 numpy inverts one standard exponential per variate,
+    ceil(-E / log1p(-q)) (Devroye, 1986, ch. X.2), and evaluates log1p(-q)
+    anew each time; here the exponentials are drawn in one call into
+    `exps` and divided by the constant. From 1/3 on numpy searches the CDF
+    with one uniform per variate, and that is left to numpy. `cap` is an
+    integer below 2^53, exact as a float, so the cap can come before the
+    cast to int64; it also absorbs the quotient's overflow to inf at
+    subnormal q, where numpy's C loop returns INT64_MAX without a warning.
+    """
+    if q >= 1.0 / 3.0:
+        return np.minimum(rng.geometric(q, size=out.shape[0]), cap, out=out)
+    rng.standard_exponential(out=exps)
+    with np.errstate(over="ignore"):
+        exps /= -math.log1p(-q)
+    np.ceil(exps, out=exps)
+    return np.minimum(exps, cap, out=out, casting="unsafe")
+
+
 def draw_sparse_projection(
     k: int, n: int, q: float, seed: int, label: str = "sparse-projection"
 ) -> SparseProjection:
@@ -277,11 +309,16 @@ def draw_sparse_projection(
     nonzero cells, in row-major order, sit at `last + cumsum(gaps)` for
     i.i.d. geometric(q) gaps from the derived stream (seed, label +
     "/positions"): O(nnz) random numbers, and never the k x n grid. The
-    gaps come at most `_CHUNK` at a time, and each batch is reduced to int32
-    columns and row ends before the next is drawn; every gap takes one
-    variate, so the batch size moves no byte. At q = 1 no position is
-    drawn. The sign of the i-th nonzero is the top bit of the i-th byte of
-    the raw (seed, label) stream. Draws are deterministic given (seed, label).
+    gaps are numpy's `Generator.geometric` variates: below q = 1/3 drawn
+    as its inversion of standard exponentials with log1p(-q) taken once,
+    from 1/3 on by `Generator.geometric` itself (`_geometric_gaps`). They
+    come at most `_CHUNK` at a time into two buffers reused by every
+    batch, and each batch is summed in place into positions and reduced to
+    int32 columns (a mask when n is a power of two) and row ends before
+    the next is drawn; every gap takes one variate, so the batch size
+    moves no byte. At q = 1 no position is drawn. The sign of the i-th
+    nonzero is the top bit of the i-th byte of the raw (seed, label)
+    stream. Draws are deterministic given (seed, label).
     """
     if k < 1 or n < 1:
         raise DimensionMismatch(f"need k, n >= 1, got k={k}, n={n}")
@@ -293,16 +330,23 @@ def draw_sparse_projection(
         ends, cols = bounds, np.tile(np.arange(n, dtype=np.int32), k)
     else:
         rng = stream(seed, label + "/positions")
+        # A padded n is a power of two, where a mask finds the column.
+        column, by = (np.bitwise_and, n - 1) if n & (n - 1) == 0 else (np.remainder, n)
+        first = _batch_size(total, q)  # the largest batch
+        exps, pos = np.empty(first), np.empty(first, dtype=np.int64)
         ends, col_parts, last = np.zeros(k, dtype=np.int64), [], -1
         while last < total - 1:
-            expect = (total - 1 - last) * q
-            size = min(_CHUNK, int(expect + 4.0 * math.sqrt(expect)) + 16)
-            # Capped gaps keep the sum in int64 even when q is tiny.
-            pos = last + np.cumsum(np.minimum(rng.geometric(q, size=size), total + 1))
-            last = int(pos[-1])
-            pos = pos[: pos.searchsorted(total)]
-            ends += pos.searchsorted(bounds)
-            col_parts.append((pos % n).astype(np.int32))
+            size = _batch_size(total - 1 - last, q)
+            gaps = _geometric_gaps(rng, q, total + 1, exps[:size], pos[:size])
+            # Integer sums: last + cumsum(gaps) to the bit. Capped gaps keep
+            # them in int64 even when q is tiny.
+            gaps[0] += last
+            cells = np.cumsum(gaps, out=gaps)
+            last = int(cells[-1])
+            cells = cells[: cells.searchsorted(total)]
+            ends += cells.searchsorted(bounds)
+            col_parts.append(column(cells, by, out=np.empty(cells.shape, np.int32),
+                                    casting="unsafe"))
         cols = np.concatenate(col_parts)
     nnz = cols.shape[0]
     # The top bits of the raw bytes, in order, are exactly the bits

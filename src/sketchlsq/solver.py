@@ -82,6 +82,7 @@ METHOD_PROJECTION = "projection"
 METHOD_CGNR = "cgnr"
 
 EMBEDDING_FLOOR = 1.0 / math.sqrt(2.0)
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,19 @@ def predicted_error_bounds(
     return ErrorBounds(residual_bound, forward_gamma, forward_z)
 
 
+def _squares_lost(square: float, vec: np.ndarray, m_max: float, factor: np.ndarray) -> bool:
+    """Whether `square` = vec . vec, for vec a product of a matrix whose
+    largest entry is `m_max` with `factor`, left float64's range: it
+    overflowed, or it reads zero although vec is not zero (its squares
+    flushed) or vec is zero only because every product m_ij factor_j did."""
+    if not math.isfinite(square):
+        return True
+    if square != 0.0:
+        return False
+    f_max = float(np.abs(factor).max())
+    return bool(vec.any()) or (m_max > 0.0 and f_max > 0.0 and m_max * f_max < _TINY)
+
+
 def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.ndarray:
     """Conjugate gradient on the normal equations of min ||m x - v||.
 
@@ -239,6 +253,13 @@ def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.n
     floor 1e-14 ||m||_F ||v|| (below which the normal-equations residual
     cannot be resolved; in particular v orthogonal to range(m) returns
     x = 0 immediately). With orthonormal columns this takes a single step.
+
+    The iteration forms squares of order scale^4 and scale^6 in the entry
+    scale, so it leaves float64's range for entries far from 1 (beyond
+    about 1e+-50 on a gaussian 3000 x 12 sketch). When a square overflows,
+    or flushes to zero where it would read as convergence or lost rank,
+    this raises InvalidSpec naming the entry scale, without a
+    RuntimeWarning; solves that stay in range are unchanged.
     """
     m = as_matrix(m)
     v = as_vector(v)
@@ -246,30 +267,45 @@ def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.n
         raise DimensionMismatch(f"matrix has {m.shape[0]} rows, rhs has {v.shape[0]}")
     if max_iter is None:
         max_iter = 10 * m.shape[1] + 20
-    x = np.zeros(m.shape[1])
-    r = v.copy()
-    s = m.T @ r
-    floor = 1e-14 * float(np.linalg.norm(m)) * float(np.linalg.norm(v))
-    target = max(tol * float(np.linalg.norm(s)), floor)
-    gamma = float(s @ s)
-    p = s.copy()
-    for _ in range(max_iter):
-        if math.sqrt(gamma) <= target:
-            return x
-        w = m @ p
-        ww = float(w @ w)
-        if ww == 0.0:
-            raise RankDeficient("search direction annihilated; matrix lacks full rank")
-        alpha = gamma / ww
-        x = x + alpha * p
-        r = r - alpha * w
+    m_max = float(np.abs(m).max())
+    scale_error = InvalidSpec(
+        f"CGNR's squares left float64's range at entry scale {m_max:.1e} (matrix) and "
+        f"{float(np.abs(v).max()):.1e} (rhs); scale A and b toward 1 or use the qr small solver"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.zeros(m.shape[1])
+        r = v.copy()
         s = m.T @ r
-        gamma_new = float(s @ s)
-        p = s + (gamma_new / gamma) * p
-        gamma = gamma_new
-    if math.sqrt(gamma) <= target:
-        return x
-    raise ConvergenceFailure(f"CGNR missed tolerance after {max_iter} iterations")
+        floor = 1e-14 * float(np.linalg.norm(m)) * float(np.linalg.norm(v))
+        target = max(tol * float(np.linalg.norm(s)), floor)
+        gamma = float(s @ s)
+        p = s.copy()
+        in_range = True
+        for _ in range(max_iter):
+            if math.sqrt(gamma) <= target:
+                break
+            w = m @ p
+            ww = float(w @ w)
+            if ww == 0.0:
+                if _squares_lost(ww, w, m_max, p):
+                    raise scale_error
+                raise RankDeficient("search direction annihilated; matrix lacks full rank")
+            alpha = gamma / ww
+            x = x + alpha * p
+            r = r - alpha * w
+            s = m.T @ r
+            gamma_new = float(s @ s)
+            p = s + (gamma_new / gamma) * p
+            gamma = gamma_new
+            in_range = in_range and math.isfinite(ww) and math.isfinite(gamma)
+        else:
+            if math.sqrt(gamma) > target:
+                if not in_range:
+                    raise scale_error
+                raise ConvergenceFailure(f"CGNR missed tolerance after {max_iter} iterations")
+    if not math.isfinite(target) or _squares_lost(gamma, s, m_max, r):
+        raise scale_error
+    return x
 
 
 def _small_solve(m, v, small_solver: str) -> np.ndarray:
@@ -363,7 +399,7 @@ def _sketch_solve(
         timings["sketch-apply"] = t2 - t1
         timings["small-solve"] = t3 - t2
         break
-    residual = vector_norm(problem.a @ x - problem.b)
+    residual = _residual_norm(problem, x)
     diag = _diagnostics(pad, d_signs, the_op, params.epsilon) if diagnostics else None
     timings["total"] = time.perf_counter() - t_start
     return SketchOutcome(
@@ -376,6 +412,16 @@ def _sketch_solve(
         diagnostics=diag,
         retries=retries,
     )
+
+
+def _residual_norm(problem: LsProblem, x: np.ndarray) -> float:
+    """||A x - b|| by nrm2; InvalidSpec when A x - b itself overflows
+    float64, as it can for entries near the limit even with a finite x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = problem.a @ x - problem.b
+    if not np.isfinite(r).all():
+        raise InvalidSpec("the residual A x - b overflowed float64; scale A and b toward 1")
+    return vector_norm(r)
 
 
 def check_sketch_size(method: str, params: SketchParams, d: int):
@@ -494,5 +540,4 @@ def sketch_solve_best_of(
 def exact_outcome(problem: LsProblem) -> tuple[np.ndarray, float]:
     """Exact solution and optimal residual of the full problem."""
     x = solve_exact_ls(problem.a, problem.b)
-    z = vector_norm(problem.a @ x - problem.b)
-    return x, z
+    return x, _residual_norm(problem, x)

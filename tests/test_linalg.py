@@ -96,6 +96,16 @@ def test_solve_dimension_mismatch():
         solve_exact_ls(np.eye(3), np.ones(4))
 
 
+@pytest.mark.parametrize("a, b", [
+    ([[1e-300]], [1e300]),  # a minimizer beyond float64
+    ([[1.0], [1.0], [1.0]], [1.7e308, 1.7e308, 1.7e308]),  # Q^T b overflows
+])
+def test_solve_overflow_is_typed(a, b):
+    # Full rank, finite input, no RuntimeWarning: the overflow is named.
+    with pytest.raises(InvalidSpec, match="overflowed float64"):
+        solve_exact_ls(np.array(a), np.array(b))
+
+
 def test_orthonormal_basis_axis_aligned():
     a = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
     u = orthonormal_basis(a)

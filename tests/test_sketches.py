@@ -1,9 +1,11 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 import sketchlsq.sketches as sketches
 
@@ -25,6 +27,7 @@ from sketchlsq.sketches import (
     projection_params,
     sampling_size_r,
 )
+from sketchlsq.rng import stream
 from oracles import (
     dense_projection_product,
     frozen_sparse_projection,
@@ -414,6 +417,83 @@ def test_skip_draw_matches_its_distribution(q, n):
     assert lo <= chi2 <= hi
     signs = np.concatenate([t.signs for t in draws])
     assert abs(signs.sum()) <= 5.0 * math.sqrt(signs.size)
+
+
+# numpy's Generator.geometric inverts an exponential below q = 1/3 and
+# searches the CDF from 1/3 on; the draw mirrors that split.
+_BRANCH_EDGE = [float(np.nextafter(1.0 / 3.0, 0.0)), 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("q", [0.194, 0.3, 0.01, 1e-6, *_BRANCH_EDGE, 0.5, 0.9,
+                               1e-12, 1e-300, 5e-324])
+def test_gaps_are_numpys_geometric_variates(q):
+    # Below 1/3 the gaps are numpy's inversion redone with log1p(-q) taken
+    # once; a numpy that changes its branch point or algorithm fails here.
+    # At subnormal q numpy returns INT64_MAX, which the cap absorbs.
+    size, cap = 50_000, 2**40 + 1
+    want = np.minimum(stream(8, "gaps").geometric(q, size=size), cap)
+    got = sketches._geometric_gaps(stream(8, "gaps"), q, cap, np.empty(size),
+                                   np.empty(size, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [64, 1025])
+@pytest.mark.parametrize("k", [1, 7, 160])
+@pytest.mark.parametrize("q", _BRANCH_EDGE)
+def test_draw_matches_reference_at_the_geometric_branch_edge(monkeypatch, q, k, n):
+    # The reference calls Generator.geometric itself, on either side of
+    # numpy's branch point; n = 64 takes the column mask, n = 1025 the
+    # remainder.
+    rows, cols, signs = reference_skip_projection(k, n, q, 23)
+    for chunk in (1, 3 * n, sketches._CHUNK):
+        monkeypatch.setattr(sketches, "_CHUNK", chunk)
+        t = draw_sparse_projection(k, n, q, 23)
+        assert np.array_equal(t.rows, rows)
+        assert np.array_equal(t.cols, cols)
+        assert np.array_equal(t.signs, signs)
+
+
+@pytest.mark.parametrize("n", [8, 1000, 4096])
+@pytest.mark.parametrize("q", [1e-12, 1e-300, 5e-324])
+def test_tiny_q_draws_no_nonzero_and_no_warning(q, n):
+    # The exponential over -log1p(-q) overflows to inf at q = 5e-324; the
+    # capped gap ends the draw quietly, as numpy's own INT64_MAX did.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = draw_sparse_projection(4, n, q, 3)
+    assert t.nnz == 0
+    assert np.array_equal(t.indptr, np.zeros(5))
+    assert t.magnitude == 1.0 / math.sqrt(4 * q)
+
+
+_POW2_N = st.sampled_from([2**e for e in range(13)])
+
+
+@st.composite
+def _projection_shapes(draw):
+    """(k, n) with k n <= 4096, n a power of two or any size."""
+    n = draw(st.one_of(_POW2_N, st.integers(1, 4096)))
+    return draw(st.integers(1, 4096 // n)), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape=_projection_shapes(),
+    q=st.one_of(
+        st.floats(1e-4, 1.0 / 3.0, exclude_max=True),
+        st.floats(1.0 / 3.0, 1.0, exclude_max=True),
+        st.sampled_from(_BRANCH_EDGE),
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_draw_matches_reference_property(shape, q, seed):
+    k, n = shape
+    rows, cols, signs = reference_skip_projection(k, n, q, seed)
+    t = draw_sparse_projection(k, n, q, seed)
+    assert np.array_equal(t.rows, rows)
+    assert np.array_equal(t.cols, cols)
+    assert np.array_equal(t.signs, signs)
 
 
 def _one_per_row(**fields):

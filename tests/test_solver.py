@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sketchlsq.solver as solver_mod
 from sketchlsq import hadamard, workers
@@ -13,6 +14,7 @@ from sketchlsq.errors import (
     InvalidGamma,
     InvalidSpec,
     RankDeficient,
+    SketchLsqError,
     ZeroRhs,
 )
 from sketchlsq.linalg import orthonormal_basis, project_out, solve_exact_ls
@@ -558,3 +560,81 @@ def test_solution_bytes_pinned_on_the_skip_draw():
     assert isinstance(plain[-2], RankDeficient) and plain[-1].retries == 0
     assert _solution_digest(certified) == _solution_digest(plain)
     assert _solution_digest(plain) == _PINNED_SKIP_DRAW_SOLUTION_DIGEST
+
+
+# --- CGNR at extreme entry scales and degenerate shapes ---------------------
+
+
+_CGNR_PARAMS = SketchParams.practical(3000, 12, 0.5)
+
+
+def _scaled_cgnr_problem(kind, scale):
+    problem = gen_problem(ProblemSpec(kind, 3000, 12, 10.0, 0.9, seed=1))
+    return LsProblem(problem.a * scale, problem.b * scale)
+
+
+# SHA-256 over x_tilde of every kind at entry scales 1, 1e+-20 and 1e+-45,
+# computed before CGNR checked its range.
+_PINNED_CGNR_DIGEST = "4e6b20e2f7e7bd1e88baf837beafea27d3199eab9143b5ebe5e5ab242d415319"
+
+
+def test_cgnr_in_range_bytes_pinned():
+    h = hashlib.sha256()
+    for kind in KINDS:
+        for scale in (1.0, 1e20, 1e-20, 1e45, 1e-45):
+            problem = _scaled_cgnr_problem(kind, scale)
+            h.update(sketch_solve_best_of(problem, _CGNR_PARAMS, 5, method="cgnr").x_tilde.tobytes())
+    assert h.hexdigest() == _PINNED_CGNR_DIGEST
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e-60, 1e160, 1e-160, 1e300, 1e-300])
+def test_cgnr_out_of_range_scale_is_named(scale):
+    # CGNR's squares go as scale^4 and scale^6: they used to overflow into
+    # ConvergenceFailure with numpy warnings, flush to zero and read as
+    # convergence at x = 0, or (at 1e-60) flush w^T w and read as lost
+    # rank. The QR small solver takes the same sketch.
+    scaled = _scaled_cgnr_problem(KIND_GAUSSIAN, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match=r"entry scale \d\.\de[+-]\d+"):
+            sketch_solve_best_of(scaled, _CGNR_PARAMS, 5, method="cgnr")
+    plain = sketch_solve_sampling(_scaled_cgnr_problem(KIND_GAUSSIAN, 1.0), _CGNR_PARAMS, 5)
+    out = sketch_solve_sampling(scaled, _CGNR_PARAMS, 5)
+    assert out.residual_tilde / scale == pytest.approx(plain.residual_tilde, rel=1e-12)
+
+
+def test_cgnr_flushed_products_are_not_orthogonality():
+    # At 1e-170 every product m_ij v_i flushes, so m^T v is exactly zero
+    # as it is for a truly orthogonal rhs; only the latter returns x = 0.
+    m = np.array([[1.0], [0.0]])
+    assert np.array_equal(cgnr_solve(m, np.array([0.0, 1.0])), [0.0])
+    with pytest.raises(InvalidSpec, match="entry scale"):
+        cgnr_solve(m * 1e-170, np.array([1e-170, 1e-170]))
+    with pytest.raises(InvalidSpec, match="entry scale"):
+        cgnr_solve(m * 1e170, np.array([1e170, 1e170]))
+    assert np.array_equal(cgnr_solve(np.zeros((2, 1)), np.ones(2)), [0.0])
+
+
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_ENTRY, b=_ENTRY, k=st.integers(1, 9), seed=st.integers(0, 2**64 - 1),
+       diagnostics=st.booleans())
+@example(a=4.979146432895117e-281, b=8.95097735988974e27, k=1, seed=0, diagnostics=False)
+@example(a=1.0, b=1.7976931348623155e308, k=3, seed=0, diagnostics=False)
+@example(a=3.0, b=1.7976931348623157e308, k=1, seed=0, diagnostics=False)
+def test_one_row_projection_is_finite_or_typed(a, b, k, seed, diagnostics):
+    # d = 1, n = d, k >= padded n and q = 1. The examples are a minimizer
+    # beyond float64, Q^T b overflowing, and A x overflowing at a finite x.
+    try:
+        problem = LsProblem(np.array([[a]]), np.array([b]))
+        out = sketch_solve_projection(
+            problem, SketchParams(epsilon=0.5, k=k, q=1.0), seed, diagnostics=diagnostics
+        )
+    except SketchLsqError:
+        return
+    assert np.isfinite(out.x_tilde).all() and math.isfinite(out.residual_tilde)
+    if diagnostics:
+        d = out.diagnostics
+        assert all(math.isfinite(v) for v in (d.z, d.gamma, d.kappa, d.sigma_min))
