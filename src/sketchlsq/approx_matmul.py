@@ -138,7 +138,9 @@ def approx_gram(a, sampler: ColumnSampler, seed: int) -> np.ndarray:
     counts = np.bincount(idx, minlength=sampler.probs.shape[0])
     live = counts > 0
     weights = counts[live] / (sampler.c * sampler.probs[live])
-    cols = a[:, live]
+    # Most draws hit every column; A itself then gives the gather's bytes
+    # in any layout, without copying it.
+    cols = a if live.all() else a[:, live]
     return (cols * weights) @ cols.T
 
 

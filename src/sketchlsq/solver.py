@@ -82,7 +82,6 @@ METHOD_PROJECTION = "projection"
 METHOD_CGNR = "cgnr"
 
 EMBEDDING_FLOOR = 1.0 / math.sqrt(2.0)
-_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -233,19 +232,6 @@ def predicted_error_bounds(
     return ErrorBounds(residual_bound, forward_gamma, forward_z)
 
 
-def _squares_lost(square: float, vec: np.ndarray, m_max: float, factor: np.ndarray) -> bool:
-    """Whether `square` = vec . vec, for vec a product of a matrix whose
-    largest entry is `m_max` with `factor`, left float64's range: it
-    overflowed, or it reads zero although vec is not zero (its squares
-    flushed) or vec is zero only because every product m_ij factor_j did."""
-    if not math.isfinite(square):
-        return True
-    if square != 0.0:
-        return False
-    f_max = float(np.abs(factor).max())
-    return bool(vec.any()) or (m_max > 0.0 and f_max > 0.0 and m_max * f_max < _TINY)
-
-
 def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.ndarray:
     """Conjugate gradient on the normal equations of min ||m x - v||.
 
@@ -254,12 +240,16 @@ def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.n
     cannot be resolved; in particular v orthogonal to range(m) returns
     x = 0 immediately). With orthonormal columns this takes a single step.
 
-    The iteration forms squares of order scale^4 and scale^6 in the entry
-    scale, so it leaves float64's range for entries far from 1 (beyond
-    about 1e+-50 on a gaussian 3000 x 12 sketch). When a square overflows,
-    or flushes to zero where it would read as convergence or lost rank,
-    this raises InvalidSpec naming the entry scale, without a
-    RuntimeWarning; solves that stay in range are unchanged.
+    The iteration runs on m and v scaled by powers of two to a largest
+    entry in [1/2, 1), which is exact, and scales x back: the result is
+    the same at every entry scale, with the unscaled iteration's bytes
+    wherever that stays in float64's normal range. A minimizer outside
+    that range raises InvalidSpec.
+
+    Without a preconditioner, CG on the normal equations squares kappa(m):
+    it converges in max_iter (default 10 d + 20) steps only for
+    well-conditioned m, and misses tol = 1e-12 from about kappa(m) = 1e4
+    on, raising ConvergenceFailure; the qr small solver has no such limit.
     """
     m = as_matrix(m)
     v = as_vector(v)
@@ -267,45 +257,47 @@ def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.n
         raise DimensionMismatch(f"matrix has {m.shape[0]} rows, rhs has {v.shape[0]}")
     if max_iter is None:
         max_iter = 10 * m.shape[1] + 20
-    m_max = float(np.abs(m).max())
-    scale_error = InvalidSpec(
-        f"CGNR's squares left float64's range at entry scale {m_max:.1e} (matrix) and "
-        f"{float(np.abs(v).max()):.1e} (rhs); scale A and b toward 1 or use the qr small solver"
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.zeros(m.shape[1])
-        r = v.copy()
+    e_m = np.frexp(np.abs(m).max())[1]
+    e_v = np.frexp(np.abs(v).max())[1]
+    m = np.ldexp(m, -e_m)
+    v = np.ldexp(v, -e_v)
+    x = np.zeros(m.shape[1])
+    r = v.copy()
+    s = m.T @ r
+    floor = 1e-14 * float(np.linalg.norm(m)) * float(np.linalg.norm(v))
+    target = max(tol * float(np.linalg.norm(s)), floor)
+    gamma = float(s @ s)
+    p = s.copy()
+    for _ in range(max_iter):
+        if math.sqrt(gamma) <= target:
+            break
+        w = m @ p
+        ww = float(w @ w)
+        if ww == 0.0:
+            raise RankDeficient("search direction annihilated; matrix lacks full rank")
+        alpha = gamma / ww
+        x = x + alpha * p
+        r = r - alpha * w
         s = m.T @ r
-        floor = 1e-14 * float(np.linalg.norm(m)) * float(np.linalg.norm(v))
-        target = max(tol * float(np.linalg.norm(s)), floor)
-        gamma = float(s @ s)
-        p = s.copy()
-        in_range = True
-        for _ in range(max_iter):
-            if math.sqrt(gamma) <= target:
-                break
-            w = m @ p
-            ww = float(w @ w)
-            if ww == 0.0:
-                if _squares_lost(ww, w, m_max, p):
-                    raise scale_error
-                raise RankDeficient("search direction annihilated; matrix lacks full rank")
-            alpha = gamma / ww
-            x = x + alpha * p
-            r = r - alpha * w
-            s = m.T @ r
-            gamma_new = float(s @ s)
-            p = s + (gamma_new / gamma) * p
-            gamma = gamma_new
-            in_range = in_range and math.isfinite(ww) and math.isfinite(gamma)
-        else:
-            if math.sqrt(gamma) > target:
-                if not in_range:
-                    raise scale_error
-                raise ConvergenceFailure(f"CGNR missed tolerance after {max_iter} iterations")
-    if not math.isfinite(target) or _squares_lost(gamma, s, m_max, r):
-        raise scale_error
-    return x
+        gamma_new = float(s @ s)
+        p = s + (gamma_new / gamma) * p
+        gamma = gamma_new
+    else:
+        if math.sqrt(gamma) > target:
+            raise ConvergenceFailure(
+                f"CGNR missed tolerance after {max_iter} iterations; plain CG on the normal "
+                "equations converges only for well-conditioned sketches, use the qr small solver"
+            )
+    # |x| = f 2^e with f in [1/2, 1): normal float64 needs -1021 <= e <= 1024.
+    shift = e_v - e_m
+    exponents = np.frexp(x[x != 0.0])[1] + shift
+    if exponents.size and not -1021 <= exponents.min() <= exponents.max() <= 1024:
+        worst = exponents.max() if exponents.max() > 1024 else exponents.min()
+        raise InvalidSpec(
+            f"CGNR's minimizer has an entry of order 2^{worst}, outside float64's normal "
+            "range; rescale A or b"
+        )
+    return np.ldexp(x, shift)
 
 
 def _small_solve(m, v, small_solver: str) -> np.ndarray:
@@ -477,7 +469,6 @@ def sketch_solve_projection(
     seed: int,
     *,
     diagnostics: bool = False,
-    small_solver: str = "qr",
     projection: Optional[SparseProjection] = None,
     stream_prefix: str = "",
 ) -> SketchOutcome:
@@ -491,7 +482,7 @@ def sketch_solve_projection(
 
     return _sketch_solve(
         problem, params, seed, METHOD_PROJECTION, draw, "projection", projection,
-        diagnostics=diagnostics, small_solver=small_solver, stream_prefix=stream_prefix,
+        diagnostics=diagnostics, small_solver="qr", stream_prefix=stream_prefix,
     )
 
 

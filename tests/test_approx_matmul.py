@@ -5,6 +5,7 @@ import pytest
 
 from sketchlsq.approx_matmul import (
     ColumnSampler,
+    _draw_indices,
     approx_gram,
     c_lower_bound,
     column_probabilities,
@@ -116,6 +117,21 @@ def test_approx_gram_matches_materialized():
     c_mat = exactly_c(a, sampler, seed=8)
     gram = approx_gram(a, sampler, seed=8)
     assert np.abs(gram - c_mat @ c_mat.T).max() <= 1e-10
+
+
+@pytest.mark.parametrize("c, hits_every_column", [(400, True), (6, False)])
+def test_approx_gram_equals_the_gather_in_every_layout(c, hits_every_column):
+    # A draw that hits every column multiplies A itself; its bytes must be
+    # those of the gathered columns for C-ordered, F-ordered and strided A.
+    wide = np.random.default_rng(12).standard_normal((6, 40))
+    for a in (np.ascontiguousarray(wide[:, :20]), np.asfortranarray(wide[:, :20]), wide[:, ::2]):
+        sampler = ColumnSampler.norm_squared(a, c=c)
+        counts = np.bincount(_draw_indices(sampler, 3), minlength=20)
+        live = counts > 0
+        assert live.all() == hits_every_column
+        cols = a[:, live]
+        gathered = (cols * (counts[live] / (c * sampler.probs[live]))) @ cols.T
+        assert approx_gram(a, sampler, 3).tobytes() == gathered.tobytes()
 
 
 def test_c_lower_bound_value():

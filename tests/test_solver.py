@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -17,10 +18,24 @@ from sketchlsq.errors import (
     SketchLsqError,
     ZeroRhs,
 )
-from sketchlsq.linalg import orthonormal_basis, project_out, solve_exact_ls
-from sketchlsq.problems import KIND_GAUSSIAN, KINDS, ProblemSpec, gen_problem
+from sketchlsq.linalg import (
+    RANK_TOL,
+    orthonormal_basis,
+    project_out,
+    solve_exact_ls,
+    vector_norm,
+)
+from sketchlsq.problems import (
+    KIND_COHERENT,
+    KIND_GAUSSIAN,
+    KIND_ILL_CONDITIONED,
+    KINDS,
+    ProblemSpec,
+    gen_problem,
+)
 from sketchlsq.sketches import SamplingPlan, SketchParams, SparseProjection, identity_plan
 from sketchlsq.solver import (
+    Diagnostics,
     LsProblem,
     cgnr_solve,
     exact_outcome,
@@ -562,6 +577,24 @@ def test_solution_bytes_pinned_on_the_skip_draw():
     assert _solution_digest(plain) == _PINNED_SKIP_DRAW_SOLUTION_DIGEST
 
 
+
+# SHA-256 over residual_tilde and every Diagnostics field of the certified
+# corpus on the skip draw, the same at 1 and at 2 BLAS threads. With the
+# solution digests it pins every byte a solve returns.
+_PINNED_CERTIFICATE_DIGEST = "b2d3d496991a34cff118f59c9b8ea4f30d4675db5a300934fb22293c51758026"
+
+
+def test_certificate_bytes_pinned():
+    h = hashlib.sha256()
+    for out in _bytes_corpus(diagnostics=True):
+        if isinstance(out, RankDeficient):
+            h.update(type(out).__name__.encode())
+            continue
+        h.update(np.float64(out.residual_tilde).tobytes())
+        for field in dataclasses.fields(Diagnostics):
+            h.update(np.asarray(getattr(out.diagnostics, field.name)).tobytes())
+    assert h.hexdigest() == _PINNED_CERTIFICATE_DIGEST
+
 # --- CGNR at extreme entry scales and degenerate shapes ---------------------
 
 
@@ -589,30 +622,109 @@ def test_cgnr_in_range_bytes_pinned():
 
 @pytest.mark.parametrize("scale", [1e60, 1e-60, 1e160, 1e-160, 1e300, 1e-300])
 def test_cgnr_out_of_range_scale_is_named(scale):
-    # CGNR's squares go as scale^4 and scale^6: they used to overflow into
-    # ConvergenceFailure with numpy warnings, flush to zero and read as
-    # convergence at x = 0, or (at 1e-60) flush w^T w and read as lost
-    # rank. The QR small solver takes the same sketch.
+    # Scales at which CGNR's squares (scale^4 and scale^6) once left
+    # float64's range; CGNR now runs on the sketch rescaled by powers of
+    # two and solves here, without a warning, where the QR small solver
+    # solves the same sketch.
     scaled = _scaled_cgnr_problem(KIND_GAUSSIAN, scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidSpec, match=r"entry scale \d\.\de[+-]\d+"):
-            sketch_solve_best_of(scaled, _CGNR_PARAMS, 5, method="cgnr")
+        cg = sketch_solve_best_of(scaled, _CGNR_PARAMS, 5, method="cgnr")
     plain = sketch_solve_sampling(_scaled_cgnr_problem(KIND_GAUSSIAN, 1.0), _CGNR_PARAMS, 5)
     out = sketch_solve_sampling(scaled, _CGNR_PARAMS, 5)
+    assert np.linalg.norm(cg.x_tilde - out.x_tilde) <= 1e-12 * np.linalg.norm(out.x_tilde)
     assert out.residual_tilde / scale == pytest.approx(plain.residual_tilde, rel=1e-12)
+    assert cg.residual_tilde / scale == pytest.approx(plain.residual_tilde, rel=1e-12)
+
+
+@pytest.mark.parametrize("power", [200, -200, 900, -900])
+def test_cgnr_power_of_two_scales_keep_the_bytes(power):
+    # A and b scaled alike by 2^power have the same minimizer, and CGNR's
+    # own rescale makes the iteration the scale-1 one, bit for bit.
+    def cgnr_x(kind, scale):
+        problem = _scaled_cgnr_problem(kind, scale)
+        return sketch_solve_best_of(problem, _CGNR_PARAMS, 5, method="cgnr").x_tilde.tobytes()
+
+    for kind in KINDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cgnr_x(kind, math.ldexp(1.0, power)) == cgnr_x(kind, 1.0)
 
 
 def test_cgnr_flushed_products_are_not_orthogonality():
-    # At 1e-170 every product m_ij v_i flushes, so m^T v is exactly zero
-    # as it is for a truly orthogonal rhs; only the latter returns x = 0.
+    # At 1e-170 every product m_ij v_i flushes, so m^T v taken as given is
+    # exactly zero, as it is for a truly orthogonal rhs; only the latter
+    # returns x = 0, and both extreme scales solve x = 1.
     m = np.array([[1.0], [0.0]])
     assert np.array_equal(cgnr_solve(m, np.array([0.0, 1.0])), [0.0])
-    with pytest.raises(InvalidSpec, match="entry scale"):
-        cgnr_solve(m * 1e-170, np.array([1e-170, 1e-170]))
-    with pytest.raises(InvalidSpec, match="entry scale"):
-        cgnr_solve(m * 1e170, np.array([1e170, 1e170]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-170, 1e170):
+            x = cgnr_solve(m * scale, np.array([scale, scale]))
+            assert x == pytest.approx([1.0], rel=1e-15)
     assert np.array_equal(cgnr_solve(np.zeros((2, 1)), np.ones(2)), [0.0])
+
+
+@pytest.mark.parametrize(
+    "m, v, match",
+    [([[1e-300]], [1e300], r"2\^1994"), ([[1e300]], [1e-300], r"2\^-1993")],
+)
+def test_cgnr_minimizer_outside_float64_is_named(m, v, match):
+    # x = 1e600 lies beyond float64 and x = 1e-600 below its normal range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match=match):
+            cgnr_solve(np.array(m), np.array(v))
+
+
+def test_cgnr_limit_is_the_condition_number():
+    # Plain CG on the normal equations squares kappa: with kappa = 1e4 it
+    # misses tol 1e-12 within 10 d + 20 steps on gaussian and coherent
+    # sketches, where the QR small solver solves the same sketch.
+    params = SketchParams.practical(4096, 40, 0.5)
+    for kind in (KIND_GAUSSIAN, KIND_COHERENT):
+        for seed in range(3):
+            problem = gen_problem(ProblemSpec(kind, 4096, 40, 1e4, 0.9, seed=seed))
+            with pytest.raises(ConvergenceFailure, match="well-conditioned.*qr small solver"):
+                sketch_solve_best_of(problem, params, seed, method="cgnr")
+            assert np.isfinite(sketch_solve_sampling(problem, params, seed).x_tilde).all()
+
+
+_CGNR_ENTRY = st.floats(min_value=-1e50, max_value=1e50).filter(
+    lambda t: t == 0.0 or abs(t) >= 1e-50
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda d: st.lists(st.lists(_CGNR_ENTRY, min_size=d + 1, max_size=d + 1),
+                           min_size=d + 1, max_size=d + 4)
+    ),
+    k1=st.integers(-600, 600),
+    k2=st.integers(-600, 600),
+)
+def test_cgnr_commutes_with_powers_of_two(rows, k1, k2):
+    # cgnr_solve(2^k1 m, 2^k2 v) is 2^(k2 - k1) cgnr_solve(m, v) byte for
+    # byte, or the same typed error; a minimizer the shift carries out of
+    # float64's normal range raises InvalidSpec.
+    mv = np.array(rows)
+    m, v = mv[:, :-1], mv[:, -1]
+    m_k, v_k = np.ldexp(m, k1), np.ldexp(v, k2)
+    try:
+        x = cgnr_solve(m, v)
+    except (RankDeficient, ConvergenceFailure, InvalidSpec) as exc:
+        if isinstance(exc, InvalidSpec):
+            return
+        with pytest.raises(type(exc)):
+            cgnr_solve(m_k, v_k)
+        return
+    exponents = np.frexp(x[x != 0.0])[1] + (k2 - k1)
+    if exponents.size and not -1021 <= exponents.min() <= exponents.max() <= 1024:
+        with pytest.raises(InvalidSpec):
+            cgnr_solve(m_k, v_k)
+    else:
+        assert cgnr_solve(m_k, v_k).tobytes() == np.ldexp(x, k2 - k1).tobytes()
 
 
 _ENTRY = st.floats(allow_nan=False, allow_infinity=False)
@@ -638,3 +750,76 @@ def test_one_row_projection_is_finite_or_typed(a, b, k, seed, diagnostics):
     if diagnostics:
         d = out.diagnostics
         assert all(math.isfinite(v) for v in (d.z, d.gamma, d.kappa, d.sigma_min))
+
+
+# --- Sampling pipeline edge cases (n not a power of two, duplicated rows,
+# --- singular-value ratio near RANK_TOL) -----------------------------------
+
+
+def _finite_within_bound(problem, params, seed, z):
+    """Solve with diagnostics and check the outcome: finite, and within
+    (1 + eps) z, z the optimal residual, whenever the draw meets both
+    structural conditions. A typed SketchLsqError is an outcome too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = sketch_solve_sampling(problem, params, seed, diagnostics=True)
+        except SketchLsqError:
+            return None
+    assert np.isfinite(out.x_tilde).all() and math.isfinite(out.residual_tilde)
+    d = out.diagnostics
+    assert all(math.isfinite(v) for v in (d.z, d.gamma, d.kappa, d.sigma_min))
+    assert np.isfinite(d.sigma_xu).all()
+    if d.embedding_ok and d.cross_term_ok:
+        assert out.residual_tilde <= (1.0 + params.epsilon) * z
+    return out
+
+
+_NOT_POW2 = st.integers(3, 300).filter(lambda n: n & (n - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=_NOT_POW2, d=st.integers(1, 6), extra=st.integers(0, 40),
+       kind=st.sampled_from(KINDS), kappa=st.sampled_from([1.0, 10.0, 100.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_identity_plan_property(n, d, extra, kind, kappa, seed):
+    # r >= padded n selects every row once: x is the exact solve's.
+    d = min(d, n - 1)
+    problem = gen_problem(ProblemSpec(kind, n, d, 1.0 if d == 1 else kappa, 0.9, seed=seed))
+    padded = 1 << (n - 1).bit_length()
+    x_opt, z = exact_outcome(problem)
+    out = _finite_within_bound(problem, SketchParams(epsilon=0.5, r=padded + extra), seed, z)
+    assert np.linalg.norm(out.x_tilde - x_opt) <= 1e-10 * np.linalg.norm(x_opt)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 60), d=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_duplicated_rows_property(m, d, data, seed):
+    # Rows repeated any number of times: coherent, and exact ties in the
+    # sketch. The sketch size ranges up to the identity plan.
+    d = min(d, m - 1)
+    base = gen_problem(ProblemSpec(KIND_GAUSSIAN, m, d, 1.0 if d == 1 else 10.0, 0.9, seed=seed))
+    rows = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=4 * m))
+    rows = np.concatenate([np.arange(m), rows])
+    problem = LsProblem(base.a[rows], base.b[rows])
+    padded = 1 << (problem.n - 1).bit_length()
+    r = data.draw(st.integers(d, padded))
+    _, z = exact_outcome(problem)
+    _finite_within_bound(problem, SketchParams(epsilon=0.5, r=r), seed, z)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(8, 300), d=st.integers(2, 6), log2_ratio=st.floats(-1.0, 1.0),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_rank_tol_edge_property(n, d, log2_ratio, data, seed):
+    # sigma_min / sigma_max = RANK_TOL 2^log2_ratio: the QR rank checks see
+    # it from either side. A rank-deficient A raises RankDeficient from the
+    # solve or the diagnostics; a solve that returns is finite and bounded.
+    ratio = RANK_TOL * 2.0**log2_ratio
+    problem = gen_problem(ProblemSpec(KIND_ILL_CONDITIONED, n, d, 1.0 / ratio, 0.9, seed=seed))
+    padded = 1 << (n - 1).bit_length()
+    r = data.draw(st.integers(d, padded))
+    # LAPACK's SVD solve has no rank floor: the optimal residual on both sides.
+    x_svd = np.linalg.lstsq(problem.a, problem.b, rcond=None)[0]
+    _finite_within_bound(problem, SketchParams(epsilon=0.5, r=r), seed,
+                         vector_norm(problem.a @ x_svd - problem.b))
