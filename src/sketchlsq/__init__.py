@@ -27,11 +27,9 @@ from .errors import (
     ZeroRhs,
 )
 from .hadamard import (
-    PaddedProblem,
     SignDiagonal,
     apply_rht,
     fwht_normalized,
-    pad_pow2,
     partial_rht_rows,
     sample_signs,
 )

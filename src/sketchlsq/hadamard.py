@@ -67,52 +67,10 @@ def sample_signs(n: int, seed: int, label: str = "signs") -> SignDiagonal:
     return SignDiagonal(signs=signs, seed=int(seed), label=label)
 
 
-@dataclass(frozen=True)
-class PaddedProblem:
-    """A least-squares pair zero-padded to a power-of-two row count.
-
-    `stacked` is the padded [A | b] in one array, so both can go through
-    one transform; `a_pad` and `b_pad` are views of it. The appended
-    all-zero rows contribute nothing to the objective, so the minimizer and
-    the optimal residual match the original problem; the solution never
-    needs unpadding.
-    """
-
-    original_n: int
-    stacked: np.ndarray
-
-    @property
-    def padded_n(self) -> int:
-        return self.stacked.shape[0]
-
-    @property
-    def a_pad(self) -> np.ndarray:
-        return self.stacked[:, :-1]
-
-    @property
-    def b_pad(self) -> np.ndarray:
-        return self.stacked[:, -1]
-
-
 def next_pow2(n: int) -> int:
     if n < 1:
         raise DimensionMismatch(f"need n >= 1, got {n}")
     return 1 << (n - 1).bit_length()
-
-
-def pad_pow2(a, b) -> PaddedProblem:
-    """Zero-pad [a | b] so the row count is the next power of two."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"expected (n, d) matrix and length-n vector, got {a.shape} and {b.shape}"
-        )
-    n, d = a.shape
-    stacked = np.zeros((next_pow2(n), d + 1))
-    stacked[:n, :d] = a
-    stacked[:n, d] = b
-    return PaddedProblem(original_n=n, stacked=stacked)
 
 
 def _require_pow2(n: int):

@@ -47,6 +47,9 @@ class ProblemSpec:
             raise InvalidSpec(f"need finite kappa >= 1, got {self.kappa}")
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidSpec(f"need gamma in (0, 1], got {self.gamma}")
+        if self.gamma < 1.0 and self.n == self.d:
+            # range(A) is all of R^n: no part of b can lie outside it.
+            raise InvalidSpec(f"gamma < 1 needs n > d, got gamma={self.gamma}, n = d = {self.n}")
         if self.d == 1 and self.kappa != 1.0:
             raise InvalidSpec("a single-column matrix always has kappa = 1")
         check_seed(self.seed)

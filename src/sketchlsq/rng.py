@@ -14,16 +14,22 @@ import numpy as np
 from .errors import InvalidSpec
 
 
-def check_seed(seed: int) -> int:
-    """`seed` as an int; `InvalidSpec` unless it is an integer in
-    [0, 2^64), numpy integers included and bools not, since any other value
-    would alias a seed in that range: int(1.5) and int(True) are both 1."""
-    if isinstance(seed, bool):
-        raise InvalidSpec(f"seed must be an integer, got {seed!r}")
+def check_integer(value, name: str) -> int:
+    """`value` as an int; `InvalidSpec` unless it is an integer, numpy
+    integers included and bools not, since any other value would alias an
+    integer: int(1.5) and int(True) are both 1."""
+    if isinstance(value, bool):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     try:
-        seed = operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise InvalidSpec(f"seed must be an integer, got {seed!r}") from None
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed: int) -> int:
+    """`seed` as an int; `InvalidSpec` unless `check_integer` accepts it
+    and it lies in [0, 2^64)."""
+    seed = check_integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise InvalidSpec(f"seed must lie in [0, 2^64), got {seed}")
     return seed

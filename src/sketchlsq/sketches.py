@@ -22,7 +22,7 @@ from scipy.sparse import _sparsetools
 
 from . import workers
 from .errors import DimensionMismatch, InvalidEpsilon, InvalidSparsity, InvalidSpec
-from .rng import stream
+from .rng import check_integer, stream
 
 MODE_THEORY = "theory"
 MODE_OVERRIDE = "override"
@@ -116,10 +116,10 @@ class SketchParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidEpsilon(f"eps must be in (0, 1), got {self.epsilon}")
-        if self.r is not None and self.r < 1:
-            raise InvalidSpec(f"r must be >= 1, got {self.r}")
-        if self.k is not None and self.k < 1:
-            raise InvalidSpec(f"k must be >= 1, got {self.k}")
+        for name in ("r", "k"):
+            size = getattr(self, name)
+            if size is not None and check_integer(size, name) < 1:
+                raise InvalidSpec(f"{name} must be >= 1, got {size}")
         if self.q is not None and not 0.0 < self.q <= 1.0:
             raise InvalidSparsity(f"q must be in (0, 1], got {self.q}")
         if self.mode not in (MODE_THEORY, MODE_OVERRIDE):

@@ -1,18 +1,19 @@
 """Sketch-and-solve pipeline and structural-condition diagnostics.
 
-Both methods run one pipeline: zero-pad [A | b] to a power-of-two row
-count, draw the random signs D and the sketch X, apply the randomized
-Hadamard transform H D, apply X, and solve the small induced problem
-exactly. The methods differ only in X: `sketch_solve_sampling` samples r
-rows uniformly and rescales them by sqrt(n/r), evaluating only those rows
-of the transform; `sketch_solve_projection` multiplies by a sparse k x n
-projection. `SketchOutcome.timings` has the same phases for both:
+Both methods run one pipeline on the problem's [A | b], zero-padded to a
+power-of-two row count once, when the problem is built: draw the random
+signs D and the sketch X, apply the randomized Hadamard transform H D,
+apply X, and solve the small induced problem exactly. The methods differ
+only in X: `sketch_solve_sampling` samples r rows uniformly and rescales
+them by sqrt(n/r), evaluating only those rows of the transform;
+`sketch_solve_projection` multiplies by a sparse k x n projection.
+`SketchOutcome.timings` has the same phases for both:
 
   - "transform": the sign and sketch draws plus H D [A | b] (only the
     sampled rows of it when sampling),
   - "sketch-apply": the rescale, or the sparse product,
   - "small-solve": the exact solve of the sketched problem,
-  - "total": the whole call, padding, residual and diagnostics included.
+  - "total": the whole call, residual and diagnostics included.
 
 Diagnostics (opt-in, O(n d^2)) measure the two structural conditions that
 make the small solution a relative-error approximation of the full one:
@@ -33,7 +34,7 @@ silently.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -48,14 +49,7 @@ from .errors import (
     RankDeficient,
     ZeroRhs,
 )
-from .hadamard import (
-    PaddedProblem,
-    SignDiagonal,
-    apply_rht,
-    pad_pow2,
-    partial_rht_rows,
-    sample_signs,
-)
+from .hadamard import SignDiagonal, apply_rht, next_pow2, partial_rht_rows, sample_signs
 from .linalg import (
     as_matrix,
     as_vector,
@@ -66,6 +60,7 @@ from .linalg import (
     solve_exact_ls,
     vector_norm,
 )
+from .rng import check_integer
 from .sketches import (
     SamplingPlan,
     SketchParams,
@@ -88,22 +83,33 @@ EMBEDDING_FLOOR = 1.0 / math.sqrt(2.0)
 class LsProblem:
     """Overdetermined pair (A, b) with n >= d >= 1.
 
+    Construction validates A and b and copies them once into `stacked`,
+    [A | b] zero-padded to a power-of-two row count for the transform; `a`
+    and `b` are views of its first n rows. The zero rows add nothing to the
+    objective, so the minimizer and the optimal residual are those of (A, b).
+
     Full column rank is assumed, as the bounds require, and checked lazily:
     exact solves raise RankDeficient when it fails.
     """
 
     a: np.ndarray
     b: np.ndarray
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.a, "A")
         b = as_vector(self.b, "b")
-        if a.shape[0] != b.shape[0]:
-            raise DimensionMismatch(f"A has {a.shape[0]} rows, b has {b.shape[0]}")
-        if a.shape[0] < a.shape[1]:
-            raise DimensionMismatch(f"need n >= d, got {a.shape[0]} x {a.shape[1]}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        n, d = a.shape
+        if n != b.shape[0]:
+            raise DimensionMismatch(f"A has {n} rows, b has {b.shape[0]}")
+        if n < d:
+            raise DimensionMismatch(f"need n >= d, got {n} x {d}")
+        stacked = np.zeros((next_pow2(n), d + 1))
+        stacked[:n, :d] = a
+        stacked[:n, d] = b
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "a", stacked[:n, :d])
+        object.__setattr__(self, "b", stacked[:n, d])
 
     @property
     def n(self) -> int:
@@ -322,17 +328,18 @@ def _apply(op, hd: np.ndarray) -> np.ndarray:
     return apply_sparse_projection(op, hd)
 
 
-def _diagnostics(pad: PaddedProblem, d_signs: SignDiagonal, op, eps: float) -> Diagnostics:
-    u = orthonormal_basis(pad.a_pad)
-    bperp = project_out(u, pad.b_pad)
+def _diagnostics(problem: LsProblem, d_signs: SignDiagonal, op, eps: float) -> Diagnostics:
+    a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
+    u = orthonormal_basis(a_pad)
+    bperp = project_out(u, b_pad)
     z = vector_norm(bperp)
     both = _apply(op, _transform(op, np.column_stack([u, bperp]), d_signs))
     check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
     # A = U (U^T A), so A has the singular values of U^T A, a d x d matrix.
-    sv = gram_singular_values(u.T @ pad.a_pad)
+    sv = gram_singular_values(u.T @ a_pad)
     return Diagnostics(
         z=z,
-        gamma=gamma_fraction(u, pad.b_pad),
+        gamma=gamma_fraction(u, b_pad),
         kappa=condition_from_singular_values(sv),
         sigma_min=float(sv[-1]),
         **vars(check),
@@ -352,8 +359,9 @@ def _sketch_solve(
     small_solver: str,
     stream_prefix: str,
 ) -> SketchOutcome:
-    """The pipeline behind both public solves: pad, draw the signs and the
-    sketch, transform, apply the sketch, solve the small problem.
+    """The pipeline behind both public solves: draw the signs and the
+    sketch, transform the problem's padded [A | b], apply the sketch, solve
+    the small problem.
 
     `draw(padded_n, label)` draws the sketch unless `op` injects one. If the
     sketched matrix loses rank, the solve retries once on the `:1` streams,
@@ -361,19 +369,19 @@ def _sketch_solve(
     """
     timings: dict = {}
     t_start = time.perf_counter()
-    pad = pad_pow2(problem.a, problem.b)
+    padded_n = problem.stacked.shape[0]
     retries = 0
     for attempt in range(2):
         t0 = time.perf_counter()
-        d_signs = sample_signs(pad.padded_n, seed, label=f"{stream_prefix}signs:{attempt}")
+        d_signs = sample_signs(padded_n, seed, label=f"{stream_prefix}signs:{attempt}")
         the_op = op if (op is not None and attempt == 0) else draw(
-            pad.padded_n, f"{stream_prefix}{draw_label}:{attempt}"
+            padded_n, f"{stream_prefix}{draw_label}:{attempt}"
         )
         # Finite entries near the float64 limit can still overflow in the
         # transform's sums; one check of the small result below names the
         # cause instead of a warning per stage.
         with np.errstate(over="ignore", invalid="ignore"):
-            hd = _transform(the_op, pad.stacked, d_signs)
+            hd = _transform(the_op, problem.stacked, d_signs)
             t1 = time.perf_counter()
             sketched = _apply(the_op, hd)
         t2 = time.perf_counter()
@@ -392,7 +400,7 @@ def _sketch_solve(
         timings["small-solve"] = t3 - t2
         break
     residual = _residual_norm(problem, x)
-    diag = _diagnostics(pad, d_signs, the_op, params.epsilon) if diagnostics else None
+    diag = _diagnostics(problem, d_signs, the_op, params.epsilon) if diagnostics else None
     timings["total"] = time.perf_counter() - t_start
     return SketchOutcome(
         x_tilde=x,
@@ -508,7 +516,7 @@ def sketch_solve_best_of(
     draws from its own derived stream, so the whole bundle is reproducible
     from one seed. The table below is the one place a method name picks its
     pipeline; "cgnr" is sampling with CGNR as the small solver."""
-    if m < 1:
+    if check_integer(m, "m") < 1:
         raise InvalidSpec(f"need m >= 1, got {m}")
     pipeline = {
         METHOD_SAMPLING: sketch_solve_sampling,

@@ -83,8 +83,9 @@ def test_solve_cgnr_prints_the_sampling_size(capsys):
         (["--kappa", "nan"], "need finite kappa >= 1, got nan"),
         (["--seeds", "0"], "--seeds must be >= 1, got 0"),
         (["--seeds", "-3"], "--seeds must be >= 1, got -3"),
+        (["--n", "4", "--d", "4", "--gamma", "0.9"], "gamma < 1 needs n > d"),
     ],
-    ids=["eps-nan", "eps-0", "kappa-nan", "seeds-0", "seeds-negative"],
+    ids=["eps-nan", "eps-0", "kappa-nan", "seeds-0", "seeds-negative", "gamma-at-n-equals-d"],
 )
 def test_solve_bad_value_exits_1(capsys, flags, message):
     code = cli.main(["solve", "--n", "64", "--d", "3", *flags])

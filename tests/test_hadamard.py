@@ -8,11 +8,9 @@ from sketchlsq.hadamard import (
     apply_rht,
     fwht_normalized,
     next_pow2,
-    pad_pow2,
     partial_rht_rows,
     sample_signs,
 )
-from sketchlsq.linalg import solve_exact_ls
 from sketchlsq.problems import KIND_GAUSSIAN, ProblemSpec, gen_problem
 from sketchlsq.rng import stream
 from sketchlsq.sketches import SketchParams
@@ -215,37 +213,6 @@ def test_partial_dimension_check():
 
 def test_next_pow2():
     assert [next_pow2(n) for n in (1, 2, 3, 5, 8, 9)] == [1, 2, 4, 8, 8, 16]
-
-
-def test_pad_pow2_noop():
-    a = np.ones((8, 2))
-    b = np.ones(8)
-    pad = pad_pow2(a, b)
-    assert pad.padded_n == 8 and pad.original_n == 8
-    assert np.array_equal(pad.a_pad, a) and np.array_equal(pad.b_pad, b)
-
-
-def test_pad_pow2_pads_with_zeros():
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal((5, 2))
-    b = rng.standard_normal(5)
-    pad = pad_pow2(a, b)
-    assert pad.padded_n == 8
-    assert np.array_equal(pad.a_pad[5:], np.zeros((3, 2)))
-    assert np.array_equal(pad.b_pad[5:], np.zeros(3))
-
-
-def test_pad_preserves_ls_solution():
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal((11, 3))
-    b = rng.standard_normal(11)
-    pad = pad_pow2(a, b)
-    x = solve_exact_ls(a, b)
-    x_pad = solve_exact_ls(pad.a_pad, pad.b_pad)
-    assert np.abs(x - x_pad).max() <= 1e-12
-    r = np.linalg.norm(a @ x - b)
-    r_pad = np.linalg.norm(pad.a_pad @ x_pad - pad.b_pad)
-    assert abs(r - r_pad) <= 1e-12 * max(r, 1.0)
 
 
 def test_sample_signs_deterministic():

@@ -31,10 +31,11 @@ def test_gamma_target(kind):
 
 
 def test_gamma_one_is_consistent():
-    spec = ProblemSpec(kind=KIND_GAUSSIAN, n=128, d=4, kappa=3.0, gamma=1.0, seed=4)
-    problem = gen_problem(spec)
-    _, z = exact_outcome(problem)
-    assert z <= 1e-8 * np.linalg.norm(problem.b)
+    for n in (128, 4):  # n = d builds at gamma = 1
+        spec = ProblemSpec(kind=KIND_GAUSSIAN, n=n, d=4, kappa=3.0, gamma=1.0, seed=4)
+        problem = gen_problem(spec)
+        _, z = exact_outcome(problem)
+        assert z <= 1e-8 * np.linalg.norm(problem.b)
 
 
 def test_kappa_one_flat_spectrum():
@@ -79,6 +80,10 @@ def test_invalid_specs():
         ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=2, kappa=0.5, gamma=1.0, seed=0)
     with pytest.raises(InvalidSpec):
         ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=2, kappa=1.0, gamma=0.0, seed=0)
+    with pytest.raises(InvalidSpec, match="n > d"):
+        # At n = d, range(A) is all of R^n: gen_problem used to normalize the
+        # roundoff left by projecting b out of it, so gamma read 1.
+        ProblemSpec(kind=KIND_GAUSSIAN, n=4, d=4, kappa=10.0, gamma=0.5, seed=0)
     with pytest.raises(InvalidSpec):
         gen_problem(ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=1, kappa=2.0, gamma=1.0, seed=0))
 

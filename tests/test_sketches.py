@@ -144,6 +144,19 @@ def test_sketch_params_validation():
         SketchParams(epsilon=0.5, mode="bogus")
 
 
+@pytest.mark.parametrize("size", [40.5, True, np.float64(40.0), "40"])
+@pytest.mark.parametrize("name", ["r", "k"])
+def test_sketch_sizes_take_integers_only(name, size):
+    # int() would alias 40.5 to 40 and True to 1.
+    with pytest.raises(InvalidSpec, match="integer"):
+        SketchParams(epsilon=0.5, **{name: size})
+
+
+def test_sketch_sizes_take_numpy_integers():
+    params = SketchParams(epsilon=0.5, r=np.int64(40), k=np.int32(40))
+    assert (params.r, params.k) == (40, 40)
+
+
 # --- sampling plans --------------------------------------------------------
 
 

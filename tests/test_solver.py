@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +64,68 @@ def _params(eps=0.5, r=256, k=128, q=1.0):
 def test_problem_validation():
     with pytest.raises(Exception):
         LsProblem(a=np.ones((2, 3)), b=np.ones(2))
+
+
+def test_problem_pad_noop():
+    a = np.ones((8, 2))
+    b = np.ones(8)
+    problem = LsProblem(a, b)
+    assert problem.stacked.shape == (8, 3) and problem.n == 8
+    assert np.array_equal(problem.stacked[:, :-1], a)
+    assert np.array_equal(problem.stacked[:, -1], b)
+
+
+def test_problem_pads_with_zeros():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((5, 2))
+    b = rng.standard_normal(5)
+    problem = LsProblem(a, b)
+    assert problem.stacked.shape == (8, 3)
+    assert np.array_equal(problem.stacked[5:], np.zeros((3, 3)))
+    assert np.array_equal(problem.a, a) and np.array_equal(problem.b, b)
+
+
+def test_problem_pad_preserves_ls_solution():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((11, 3))
+    b = rng.standard_normal(11)
+    stacked = LsProblem(a, b).stacked
+    a_pad, b_pad = stacked[:, :-1], stacked[:, -1]
+    x = solve_exact_ls(a, b)
+    x_pad = solve_exact_ls(a_pad, b_pad)
+    assert np.abs(x - x_pad).max() <= 1e-12
+    r = np.linalg.norm(a @ x - b)
+    r_pad = np.linalg.norm(a_pad @ x_pad - b_pad)
+    assert abs(r - r_pad) <= 1e-12 * max(r, 1.0)
+
+
+def test_problem_owns_its_one_copy():
+    a = np.arange(10.0).reshape(5, 2)
+    b = np.ones(5)
+    problem = LsProblem(a, b)
+    assert np.shares_memory(problem.a, problem.stacked)
+    assert np.shares_memory(problem.b, problem.stacked)
+    before = problem.stacked.copy()
+    a[:] = -1.0
+    b[:] = -1.0
+    assert np.array_equal(problem.stacked, before)
+    assert np.array_equal(problem.a, np.arange(10.0).reshape(5, 2))
+    assert np.array_equal(problem.b, np.ones(5))
+
+
+def test_sampled_solve_makes_no_copy_of_the_problem():
+    # The transform's signed work buffer is one padded [A | b]; a second
+    # per-solve copy (re-padding on every solve) would push the peak past 2x.
+    problem = gen_problem(ProblemSpec(KIND_GAUSSIAN, 2**14, 30, 10.0, 0.9, seed=7))
+    params = SketchParams.practical(problem.n, problem.d, 0.5)
+    sketch_solve_sampling(problem, params, 1)
+    tracemalloc.start()
+    try:
+        sketch_solve_sampling(problem, params, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * problem.stacked.nbytes
 
 
 def test_full_sketch_collapse(gaussian_problem):
@@ -486,6 +550,18 @@ def test_pipeline_validation(gaussian_problem):
         sketch_solve_best_of(gaussian_problem, _params(), 0, method="nope")
 
 
+@pytest.mark.parametrize("m", [2.5, True])
+def test_best_of_m_takes_integers_only(gaussian_problem, m):
+    with pytest.raises(InvalidSpec, match="integer"):
+        sketch_solve_best_of(gaussian_problem, _params(), 0, m=m)
+
+
+def test_best_of_m_takes_numpy_integers(gaussian_problem):
+    numpy_m = sketch_solve_best_of(gaussian_problem, _params(), 3, m=np.int64(2))
+    plain_m = sketch_solve_best_of(gaussian_problem, _params(), 3, m=2)
+    assert numpy_m.x_tilde.tobytes() == plain_m.x_tilde.tobytes()
+
+
 def test_z_exact_passthrough(gaussian_problem):
     _, z = exact_outcome(gaussian_problem)
     out = sketch_solve_sampling(gaussian_problem, _params(), 21)
@@ -806,6 +882,62 @@ def test_duplicated_rows_property(m, d, data, seed):
     r = data.draw(st.integers(d, padded))
     _, z = exact_outcome(problem)
     _finite_within_bound(problem, SketchParams(epsilon=0.5, r=r), seed, z)
+
+
+_RETRY_METHODS = ("sampling", "projection", "cgnr")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 16), d=st.integers(1, 6), kind=st.sampled_from(KINDS),
+       method=st.sampled_from(_RETRY_METHODS), q=st.sampled_from([1.0, 0.3, 0.05]),
+       diagnostics=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=5, d=4, kind=KIND_GAUSSIAN, method="sampling", q=1.0, diagnostics=True, seed=1)
+@example(n=5, d=4, kind=KIND_GAUSSIAN, method="sampling", q=1.0, diagnostics=False, seed=0)
+def test_retry_path_is_finite_or_typed(n, d, kind, method, q, diagnostics, seed):
+    # r = k = d on a tiny problem: the first draw often loses rank, and the
+    # solve retries once on the :1 streams, then fails with a typed error.
+    # The examples retry once, and lose rank on the retry too.
+    d = min(d, n - 1)
+    problem = gen_problem(ProblemSpec(kind, n, d, 1.0 if d == 1 else 10.0, 0.9, seed=seed))
+    params = SketchParams(epsilon=0.5, r=d, k=d, q=q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = sketch_solve_best_of(
+                problem, params, seed, method=method, diagnostics=diagnostics
+            )
+        except SketchLsqError:
+            return
+    assert out.retries in (0, 1)
+    assert np.isfinite(out.x_tilde).all() and math.isfinite(out.residual_tilde)
+    if diagnostics:
+        diag = out.diagnostics
+        assert all(math.isfinite(v) for v in (diag.z, diag.gamma, diag.kappa, diag.sigma_min))
+        assert np.isfinite(diag.sigma_xu).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 40), d=st.integers(2, 6), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_injected_rank_deficient_sketch_never_retries(n, d, data, seed):
+    # A plan that samples one row d times has rank one; a projection with
+    # no nonzero cell is all zeros. Neither may fall back to a fresh draw.
+    d = min(d, n - 1)
+    problem = gen_problem(ProblemSpec(KIND_GAUSSIAN, n, d, 10.0, 0.9, seed=seed))
+    padded = problem.stacked.shape[0]
+    row = data.draw(st.integers(0, padded - 1))
+    plan = SamplingPlan(n=padded, r=d, indices=np.full(d, row, dtype=np.int64),
+                        scale=math.sqrt(padded / d))
+    params = SketchParams(epsilon=0.5, r=d, k=d, q=0.5)
+    no_draw = AssertionError("an injected sketch was redrawn")
+    with mock.patch.object(solver_mod, "draw_sampling_plan", side_effect=no_draw), \
+            mock.patch.object(solver_mod, "draw_sparse_projection", side_effect=no_draw):
+        with pytest.raises(RankDeficient):
+            sketch_solve_sampling(problem, params, seed, plan=plan)
+        with pytest.raises(RankDeficient):
+            sketch_solve_projection(
+                problem, params, seed, projection=_zero_projection(d, padded, 0.5, seed, "zero")
+            )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
