@@ -113,11 +113,13 @@ def _matched(a, sampler: ColumnSampler) -> np.ndarray:
 
 
 def _draw_indices(sampler: ColumnSampler, seed: int) -> np.ndarray:
-    """c i.i.d. column indices by inverse-CDF with binary search."""
+    """c i.i.d. column indices by inverse-CDF with binary search. A uniform
+    above the rounded sum of the probabilities takes the last column with
+    p > 0, never a p = 0 column of infinite weight 1/(c p)."""
     cum = np.cumsum(sampler.probs)
     u = stream(seed, "exactly-c").random(sampler.c)
     idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, sampler.probs.shape[0] - 1)
+    return np.minimum(idx, np.flatnonzero(sampler.probs)[-1])
 
 
 def exactly_c(a, sampler: ColumnSampler, seed: int) -> np.ndarray:

@@ -60,6 +60,8 @@ class EnsembleResult:
     total: int
     floor: float
     details: dict = field(default_factory=dict)
+    # Wall time of the run behind this result, shared by results of one run.
+    seconds: Optional[float] = field(default=None, compare=False)
 
     @property
     def rate(self) -> float:
@@ -73,6 +75,8 @@ class EnsembleResult:
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         extra = "".join(f" {k}={v}" for k, v in self.details.items())
+        if self.seconds is not None:
+            extra += f" time={self.seconds:.3f}s"
         return (
             f"[{status}] {self.name}: {self.passed}/{self.total} "
             f"(rate {self.rate:.3f}, floor {self.floor:.2f}){extra}"
@@ -318,7 +322,8 @@ def sparse_jl(
 def perf_comparison(
     n: int = 2**17, d: int = 30, runs: int = 5, base_seed: int = 0
 ) -> dict:
-    """Median wall time of the sampled pipeline vs. the exact QR solve.
+    """Median wall time of the sampled pipeline vs. the exact QR solve, and
+    of LAPACK's gelsd (`np.linalg.lstsq`, numpy's OpenBLAS) in the same loop.
 
     Informational: the asymptotic claims are not reproducible at desk
     scale, so this measures the one concrete comparison that is.
@@ -326,25 +331,20 @@ def perf_comparison(
     spec = ProblemSpec(kind=KIND_GAUSSIAN, n=n, d=d, kappa=10.0, gamma=0.9, seed=base_seed)
     problem = gen_problem(spec)
     params = SketchParams.practical(n, d, 0.5)
-    sketch_times = []
-    exact_times = []
-    for run in range(runs):
-        t0 = time.perf_counter()
-        sketch_solve_sampling(problem, params, base_seed + run)
-        sketch_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        exact_outcome(problem)
-        exact_times.append(time.perf_counter() - t0)
-    return {
-        "n": n,
-        "d": d,
-        "r": params.r,
-        "runs": runs,
-        "sketch_median_s": float(np.median(sketch_times)),
-        "exact_median_s": float(np.median(exact_times)),
-        "sketch_times": sketch_times,
-        "exact_times": exact_times,
+    solves = {
+        "sketch": lambda run: sketch_solve_sampling(problem, params, base_seed + run),
+        "exact": lambda run: exact_outcome(problem),
+        "gelsd": lambda run: np.linalg.lstsq(problem.a, problem.b, rcond=None),
     }
+    times = {name: [] for name in solves}
+    for run in range(runs):
+        for name, solve in solves.items():
+            t0 = time.perf_counter()
+            solve(run)
+            times[name].append(time.perf_counter() - t0)
+    return {"n": n, "d": d, "r": params.r, "runs": runs,
+            **{f"{name}_median_s": float(np.median(t)) for name, t in times.items()},
+            **{f"{name}_times": t for name, t in times.items()}}
 
 
 def standard_suite(
@@ -359,12 +359,21 @@ def standard_suite(
     def s(count: int) -> int:
         return seeds if seeds is not None else max(10, int(count * scale))
 
-    results = list(energy_spreading(seeds=s(200), base_seed=base_seed))
-    results.append(embedding_ensemble(METHOD_SAMPLING, seeds=s(100), base_seed=base_seed))
-    results.append(embedding_ensemble(METHOD_PROJECTION, seeds=s(100), base_seed=base_seed))
-    results.append(relative_error_ensemble(METHOD_SAMPLING, size=256, seeds=s(100), base_seed=base_seed))
-    results.append(relative_error_ensemble(METHOD_PROJECTION, size=128, seeds=s(100), base_seed=base_seed))
-    results.append(gram_error_ensemble(seeds=s(50), base_seed=base_seed))
-    results.extend(moment_bound(seeds=s(20000), base_seed=base_seed))
-    results.append(sparse_jl(seeds=s(200), base_seed=base_seed))
-    return results
+    def timed(ensemble, *args, count: int, **kwargs) -> list[EnsembleResult]:
+        t0 = time.perf_counter()
+        out = ensemble(*args, seeds=s(count), base_seed=base_seed, **kwargs)
+        batch = [out] if isinstance(out, EnsembleResult) else list(out)
+        for result in batch:
+            result.seconds = time.perf_counter() - t0
+        return batch
+
+    return [
+        *timed(energy_spreading, count=200),
+        *timed(embedding_ensemble, METHOD_SAMPLING, count=100),
+        *timed(embedding_ensemble, METHOD_PROJECTION, count=100),
+        *timed(relative_error_ensemble, METHOD_SAMPLING, size=256, count=100),
+        *timed(relative_error_ensemble, METHOD_PROJECTION, size=128, count=100),
+        *timed(gram_error_ensemble, count=50),
+        *timed(moment_bound, count=20000),
+        *timed(sparse_jl, count=200),
+    ]

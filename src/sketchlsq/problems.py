@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .linalg import orthonormal_basis, project_out
+from .linalg import project_out, qr_factor
 from .rng import check_seed, stream
 from .solver import LsProblem
 
@@ -68,7 +68,7 @@ def _range_basis(spec: ProblemSpec) -> np.ndarray:
                 np.zeros((spec.n - spec.d, spec.d)),
             ]
         )
-    return orthonormal_basis(raw)
+    return qr_factor(raw).q
 
 
 def _spectrum(spec: ProblemSpec) -> np.ndarray:
@@ -90,7 +90,7 @@ def gen_problem(spec: ProblemSpec) -> LsProblem:
     """
     u = _range_basis(spec)
     sv = _spectrum(spec)
-    v = orthonormal_basis(stream(spec.seed, "problem/rotation").standard_normal((spec.d, spec.d)))
+    v = qr_factor(stream(spec.seed, "problem/rotation").standard_normal((spec.d, spec.d))).q
     a = (u * sv) @ v.T
 
     rng_b = stream(spec.seed, "problem/rhs")

@@ -5,8 +5,8 @@ Gaussian elimination for the normal equations, characteristic-polynomial
 coefficients via the trace recurrence for singular values, matrices built
 around a known singular spectrum, triple-loop products for sparse
 operators, the plain stage-by-stage Hadamard butterfly, the triplet
-sparse-projection draws and product, and the frozen projection draw that
-pinned digests were taken with.
+sparse-projection draws and product, and the frozen projection draw and
+Householder basis that pinned digests were taken with.
 """
 
 import math
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import scipy.sparse
 
+from sketchlsq.linalg import qr_factor
 from sketchlsq.rng import stream
 from sketchlsq.sketches import SparseProjection
 
@@ -191,6 +192,13 @@ def frozen_sparse_projection(k, n, q, seed, label="sparse-projection"):
         k=k, n=n, q=q, indptr=indptr.astype(np.int32), cols=cols, signs=signs,
         magnitude=1.0 / math.sqrt(k * q), seed=int(seed), label=label,
     )
+
+
+def householder_orthonormal_basis(a):
+    """The diagnostics' basis as it was before shifted CholeskyQR3: the Q
+    of Householder QR with a nonnegative R diagonal. The certificate
+    digests taken before the re-roll hold on it."""
+    return qr_factor(a).q
 
 
 def reference_skip_projection(k, n, q, seed, label="sparse-projection"):

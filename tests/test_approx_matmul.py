@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sketchlsq.approx_matmul as approx_matmul
 from sketchlsq.approx_matmul import (
     ColumnSampler,
     _draw_indices,
@@ -132,6 +133,45 @@ def test_approx_gram_equals_the_gather_in_every_layout(c, hits_every_column):
         cols = a[:, live]
         gathered = (cols * (counts[live] / (c * sampler.probs[live]))) @ cols.T
         assert approx_gram(a, sampler, 3).tobytes() == gathered.tobytes()
+
+
+class _InjectedUniforms:
+    """Stands in for a random stream, handing out fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.resize(self.u, size)
+
+
+def test_draw_past_the_rounded_cdf_takes_a_live_column(monkeypatch):
+    # The probabilities of this matrix sum to just below 1, and its last
+    # column has p = 0. A uniform above the sum once drew that column and
+    # gave 1/(c p) = inf and a NaN estimate.
+    a = np.random.default_rng(2).standard_normal((4, 300))
+    a[:, -1] = 0.0
+    sampler = ColumnSampler.norm_squared(a, c=5)
+    assert np.cumsum(sampler.probs)[-1] < 1.0
+    top = np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(approx_matmul, "stream", lambda seed, label: _InjectedUniforms([top]))
+    assert (_draw_indices(sampler, 0) == 298).all()
+    c_mat = exactly_c(a, sampler, 0)
+    column = a[:, 298:299] / np.sqrt(5 * sampler.probs[298])
+    assert c_mat.tobytes() == np.repeat(column, 5, axis=1).tobytes()
+    gram = approx_gram(a, sampler, 0)
+    assert np.isfinite(gram).all()
+    assert np.allclose(gram, c_mat @ c_mat.T, rtol=1e-13, atol=0.0)
+
+
+def test_injected_uniforms_inside_the_cdf_keep_their_columns(monkeypatch):
+    a = np.random.default_rng(2).standard_normal((4, 300))
+    a[:, -1] = 0.0
+    sampler = ColumnSampler.norm_squared(a, c=4)
+    cum = np.cumsum(sampler.probs)
+    u = [0.0, cum[10], cum[150] - 1e-12, cum[298] * (1 - 2**-50)]
+    monkeypatch.setattr(approx_matmul, "stream", lambda seed, label: _InjectedUniforms(u))
+    assert _draw_indices(sampler, 0).tolist() == [0, 11, 150, 298]
 
 
 def test_c_lower_bound_value():

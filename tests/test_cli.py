@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from sketchlsq import cli
+from sketchlsq import cli, ensembles
 from sketchlsq.bench import parse_report_csv
 from sketchlsq.ensembles import EnsembleResult
 from sketchlsq.matrix_io import load_matrix_csv, save_matrix_csv
@@ -161,3 +162,16 @@ def test_verify_strict_exit(monkeypatch):
     canned = [EnsembleResult("beta", 50, 100, 0.9)]
     monkeypatch.setattr(cli.ensembles, "standard_suite", lambda **kw: canned)
     assert cli.main(["verify", "--strict"]) == 2
+
+
+def test_verify_prints_each_ensemble_time_and_gelsd(monkeypatch, capsys):
+    perf = ensembles.perf_comparison(n=1024, d=4, runs=2)
+    assert len(perf["gelsd_times"]) == 2
+    assert perf["gelsd_median_s"] == float(np.median(perf["gelsd_times"])) > 0.0
+    monkeypatch.setattr(cli.ensembles, "perf_comparison", lambda base_seed: perf)
+    assert cli.main(["verify", "--quick", "--seeds", "2", "--perf"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ensemble_lines = [line for line in lines if line.startswith("[") and "perf n=" not in line]
+    assert len(ensemble_lines) == 11
+    assert all(re.search(r" time=\d+\.\d{3}s$", line) for line in ensemble_lines)
+    assert f"(gelsd median {perf['gelsd_median_s']:.3f}s)" in lines[-2]

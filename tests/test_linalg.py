@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import sketchlsq
+import sketchlsq.linalg as linalg
 from sketchlsq.errors import DimensionMismatch, InvalidSpec, RankDeficient
 from sketchlsq.linalg import (
     as_matrix,
@@ -20,6 +21,8 @@ from sketchlsq.linalg import (
     spectral_norm_sym,
 )
 from sketchlsq.problems import KIND_ILL_CONDITIONED, ProblemSpec, gen_problem
+from sketchlsq.sketches import SketchParams
+from sketchlsq.solver import exact_outcome, sketch_solve_projection, sketch_solve_sampling
 from oracles import charpoly_singular_values, known_spectrum_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -122,6 +125,41 @@ def test_orthonormal_basis_spans_range():
     assert np.linalg.norm(a - u @ (u.T @ a)) <= 1e-8 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("n", [2**12, 2**12 + 1, 2**14])
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e10, 1e12])
+def test_orthonormal_basis_is_orthonormal_to_roundoff(n, kappa):
+    # Shifted CholeskyQR3 keeps U^T U = I to roundoff up to kappa ~ 1e15,
+    # and U^T A keeps A's spectrum: kappa read 1.2e-7 off at 1e10, where
+    # Householder's Q read 3.5e-8 off (n as here, seeds 0-2).
+    a, _ = known_spectrum_matrix(n, 10, kappa, seed=0)
+    u = orthonormal_basis(a)
+    assert np.linalg.norm(u.T @ u - np.eye(10), 2) <= 1e-15
+    sv = gram_singular_values(u.T @ a)
+    assert sv[0] / sv[-1] == pytest.approx(kappa, rel=1e-6 if kappa <= 1e10 else 1e-4)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_orthonormal_basis_at_extreme_scales(scale):
+    # An exact power-of-two rescale keeps the Gram products in range.
+    a = np.random.default_rng(41).standard_normal((4096, 50))
+    u = orthonormal_basis(a * scale)
+    assert np.linalg.norm(u.T @ u - np.eye(50), 2) <= 1e-15
+    assert np.linalg.norm(a - u @ (u.T @ a)) <= 1e-13 * np.linalg.norm(a)
+
+
+def _duplicate_column():
+    a = np.random.default_rng(43).standard_normal((100, 5))
+    a[:, 3] = a[:, 1]
+    return a
+
+
+@pytest.mark.parametrize("a", [_duplicate_column(), np.zeros((10, 3))],
+                         ids=["duplicate column", "zero matrix"])
+def test_orthonormal_basis_rank_deficient(a):
+    with pytest.raises(RankDeficient):
+        orthonormal_basis(a)
+
+
 def test_gram_singular_values_diagonal():
     m = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(gram_singular_values(m), [3.0, 1.0], atol=1e-12)
@@ -190,6 +228,32 @@ def test_only_linalg_holds_scipy_linalg():
             if isinstance(origin, str) and origin.startswith("scipy.linalg"):
                 held.setdefault(info.name, set()).add(name)
     assert held == {"linalg": {"solve_triangular", "norm"}}
+
+
+def test_scipy_kernels_take_only_vectors(monkeypatch):
+    # A matrix right-hand side wakes scipy's OpenBLAS pool, which then
+    # contends with numpy's for the cores; every call stays 1-D.
+    rhs_ndims, norm_ndims = [], []
+    solve_triangular, norm = linalg.solve_triangular, linalg.norm
+
+    def recording_solve(r, rhs, **kwargs):
+        rhs_ndims.append(np.ndim(rhs))
+        return solve_triangular(r, rhs, **kwargs)
+
+    def recording_norm(v):
+        norm_ndims.append(np.ndim(v))
+        return norm(v)
+
+    monkeypatch.setattr(linalg, "solve_triangular", recording_solve)
+    monkeypatch.setattr(linalg, "norm", recording_norm)
+    problem = gen_problem(ProblemSpec(KIND_ILL_CONDITIONED, 1025, 8, 1e4, 0.9, seed=3))
+    params = SketchParams(epsilon=0.5, r=256, k=128, q=0.3)
+    sketch_solve_sampling(problem, params, 1, diagnostics=True)
+    sketch_solve_projection(problem, params, 1, diagnostics=True)
+    exact_outcome(problem)
+    orthonormal_basis(known_spectrum_matrix(2**12, 10, 1e10, seed=7)[0])
+    assert rhs_ndims == [1, 1, 1]
+    assert len(norm_ndims) >= 3 and set(norm_ndims) == {1}
 
 
 def test_spectral_norm_diagonal():

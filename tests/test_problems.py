@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,19 @@ def test_invalid_specs():
 def test_non_finite_kappa_rejected(kappa):
     with pytest.raises(InvalidSpec, match="kappa"):
         ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=2, kappa=kappa, gamma=1.0, seed=0)
+
+
+# SHA-256 over the padded [A | b] of every kind at four shapes, computed
+# while the generator's bases were the diagnostics' Householder Q, before
+# `orthonormal_basis` became shifted CholeskyQR3. The problems, and the
+# benchmark inputs built from them, must not move with the basis.
+_PINNED_PROBLEM_DIGEST = "332d019f68b63f9fbaf7bdb4b78d0a22532417e5d25c06fdacbc6d55c72aa28e"
+
+
+def test_generated_problem_bytes_pinned():
+    h = hashlib.sha256()
+    for kind in KINDS:
+        for n, d in ((1024, 8), (1025, 8), (2**14, 50), (64, 1)):
+            spec = ProblemSpec(kind, n, d, 1e4 if d > 1 else 1.0, 0.9 if d > 1 else 1.0, seed=n)
+            h.update(gen_problem(spec).stacked.tobytes())
+    assert h.hexdigest() == _PINNED_PROBLEM_DIGEST

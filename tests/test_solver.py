@@ -655,12 +655,21 @@ def test_solution_bytes_pinned_on_the_skip_draw():
 
 
 # SHA-256 over residual_tilde and every Diagnostics field of the certified
-# corpus on the skip draw, the same at 1 and at 2 BLAS threads. With the
-# solution digests it pins every byte a solve returns.
+# corpus on the skip draw, the same at 1 and at 2 BLAS threads, computed
+# when the diagnostics' basis was Householder's Q (now
+# `householder_orthonormal_basis`). With the solution digests it pins every
+# byte a solve returns.
 _PINNED_CERTIFICATE_DIGEST = "b2d3d496991a34cff118f59c9b8ea4f30d4675db5a300934fb22293c51758026"
 
+# The same corpus on the shifted CholeskyQR3 basis, computed when it
+# replaced Householder's. Every embedding_ok and cross_term_ok flag is the
+# one the Householder basis gives.
+_PINNED_CHOLESKY_QR3_CERTIFICATE_DIGEST = (
+    "32379beeba49e4419f6ec86f3dd308b38d42f9c239e59680039cdae67549ee53"
+)
 
-def test_certificate_bytes_pinned():
+
+def _certificate_digest() -> str:
     h = hashlib.sha256()
     for out in _bytes_corpus(diagnostics=True):
         if isinstance(out, RankDeficient):
@@ -669,7 +678,15 @@ def test_certificate_bytes_pinned():
         h.update(np.float64(out.residual_tilde).tobytes())
         for field in dataclasses.fields(Diagnostics):
             h.update(np.asarray(getattr(out.diagnostics, field.name)).tobytes())
-    assert h.hexdigest() == _PINNED_CERTIFICATE_DIGEST
+    return h.hexdigest()
+
+
+def test_certificate_bytes_pinned(householder_basis):
+    assert _certificate_digest() == _PINNED_CERTIFICATE_DIGEST
+
+
+def test_certificate_bytes_pinned_on_cholesky_qr3():
+    assert _certificate_digest() == _PINNED_CHOLESKY_QR3_CERTIFICATE_DIGEST
 
 # --- CGNR at extreme entry scales and degenerate shapes ---------------------
 
