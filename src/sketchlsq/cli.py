@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run the property ensembles")
     verify.add_argument("--quick", action="store_true", help="reduced seed budget")
     verify.add_argument("--perf", action="store_true",
-                        help="also time the sampled pipeline against exact QR")
+                        help="also time the sampled pipeline against the exact solve")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--seeds", type=int,
                         help="override every ensemble's seed count")

@@ -322,7 +322,7 @@ def sparse_jl(
 def perf_comparison(
     n: int = 2**17, d: int = 30, runs: int = 5, base_seed: int = 0
 ) -> dict:
-    """Median wall time of the sampled pipeline vs. the exact QR solve, and
+    """Median wall time of the sampled pipeline vs. the exact solve, and
     of LAPACK's gelsd (`np.linalg.lstsq`, numpy's OpenBLAS) in the same loop.
 
     Informational: the asymptotic claims are not reproducible at desk

@@ -1,12 +1,15 @@
 """Dense linear-algebra kernels shared by every other module.
 
-QR-based exact least squares, thin orthonormal bases, singular values and
-condition numbers of tall-thin matrices by LAPACK's SVD of the matrix
-itself, spectral norms of symmetric matrices by an exact symmetric
-eigensolve, and orthogonal projections. Of the two QR routes, `qr_factor`
-is Householder QR and fixes the bytes of every solution; the diagnostics'
-`orthonormal_basis` is shifted CholeskyQR3: three BLAS-3 passes, 18 ms
-against 44 ms for BLAS-2 Householder at 2^14 x 50 on a 2-vCPU VM.
+Exact least squares, orthonormal bases, singular values (LAPACK's SVD of
+the matrix itself) and condition numbers of tall-thin matrices, exact
+spectral norms of symmetric matrices, and orthogonal projections. Three
+factorizations, each where it pays:
+
+  - every least-squares solve takes x and the residual norm from the R of
+    the stacked [M | v] alone (geqrf): no Q, no residual pass;
+  - `qr_factor` forms Householder's Q, for `gen_problem`'s pinned bytes;
+  - `orthonormal_basis` is shifted CholeskyQR3: three BLAS-3 passes, 18 ms
+    against 44 ms for BLAS-2 Householder at 2^14 x 50 on a 2-vCPU VM.
 
 All functions are pure: inputs are validated (finite entries, compatible
 shapes) and never mutated, so concurrent calls on shared arrays are safe.
@@ -17,15 +20,14 @@ imports `scipy.linalg`, for two kernels numpy lacks. scipy ships a second
 OpenBLAS with a thread pool of its own, and both kernels run serially in
 it, so that pool never wakes to contend with numpy's for the cores:
 
-  - `solve_triangular`, the d x d back substitution of every small solve,
-    which fixes the bytes of every sketched solution;
+  - `solve_triangular`, the d x d back substitution of every
+    least-squares solve, which fixes the bytes of every solution;
   - `norm`, BLAS nrm2 on vectors, a scaled sum of squares that neither
     overflows nor underflows at entry scales of 1e+-300 (`vector_norm`).
 
-Both take vectors only. A matrix right-hand side wakes scipy's pool: with
-`solve_triangular` on a 50 x 50 identity, a `certify-ill` benchmark op
-took 0.16 s instead of 0.09 s on that VM. So d x d factors are applied as
-`q @ np.linalg.inv(c)`.
+Both take vectors only: a matrix right-hand side wakes scipy's pool
+(`solve_triangular` on a 50 x 50 identity took a `certify-ill` op from
+0.09 s to 0.16 s on that VM), so d x d factors apply as `q @ inv(c)`.
 """
 
 from dataclasses import dataclass
@@ -72,7 +74,8 @@ def _as_tall(a) -> np.ndarray:
     return a
 
 
-def _require_full_rank(small: float, large: float, what: str) -> None:
+def _require_full_rank(values: np.ndarray, what: str = "R diagonal") -> None:
+    small, large = np.abs(values).min(), np.abs(values).max()
     if small <= RANK_TOL * large:
         raise RankDeficient(f"{what} ratio {small:.3e}/{large:.3e} below {RANK_TOL:g}")
 
@@ -80,53 +83,53 @@ def _require_full_rank(small: float, large: float, what: str) -> None:
 @dataclass(frozen=True)
 class QrFactors:
     """Thin QR factors: q has orthonormal columns, r is upper triangular
-    with strictly nonnegative diagonal (entries below the diagonal are
-    exact zeros)."""
+    with a nonnegative diagonal and exact zeros below it."""
 
     q: np.ndarray
     r: np.ndarray
 
 
 def qr_factor(a) -> QrFactors:
-    """Thin Householder QR of a tall matrix.
-
-    Args:
-        a: (n, d) array with n >= d.
-
-    Returns:
-        QrFactors with a = q @ r, q.T @ q = I_d.
-
-    Raises:
-        RankDeficient: if any |R_ii| <= 1e-12 * max_j |R_jj|.
-    """
+    """Thin Householder QR of a tall matrix, Q formed: a = q @ r with
+    q.T @ q = I_d. RankDeficient if any |R_ii| <= 1e-12 * max_j |R_jj|."""
     q, r = np.linalg.qr(_as_tall(a), mode="reduced")
     # Fix the sign ambiguity so the R diagonal is nonnegative.
     flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q = q * flip
     r = np.triu(flip[:, None] * r)
-    diag = np.abs(np.diag(r))
-    _require_full_rank(diag.min(), diag.max(), "R diagonal")
+    _require_full_rank(np.diag(r))
     return QrFactors(q, r)
+
+
+def _stacked_lstsq(mv: np.ndarray) -> tuple[np.ndarray, float]:
+    """x and rho = min ||M x - v|| from the R of a validated [M | v] alone,
+    [[R_M, Q^T v], [0, +-rho]] (Golub and Van Loan, Matrix Computations,
+    5.3); rho = 0 for a square M. M's own reflectors come first, so the
+    rank test sees `qr_factor(M)`'s R diagonal. Overflow is InvalidSpec."""
+    d = mv.shape[1] - 1
+    r = np.linalg.qr(mv, mode="r")
+    _require_full_rank(np.diag(r)[:d])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solve_triangular(r[:d, :d], r[:d, d], lower=False, check_finite=False)
+    rho = abs(float(r[d, d])) if r.shape[0] > d else 0.0
+    if not (np.isfinite(x).all() and np.isfinite(rho)):
+        raise InvalidSpec("the least-squares solve overflowed float64; scale A and b toward 1")
+    return x, rho
 
 
 def solve_exact_ls(a, b) -> np.ndarray:
     """Minimizer of ||a x - b||_2 for a full-column-rank tall matrix.
 
-    Solves through the thin QR factorization, so the residual satisfies the
-    normal equations to roundoff. When the solve overflows float64 (Q^T b
-    near the float64 limit, or a minimizer beyond it: a small but
-    full-rank a against a large b), it raises InvalidSpec instead.
+    Of the module's three factorizations this is the R of [a | b], which
+    holds Q^T b, so no Q is formed; Householder's Q stays for `gen_problem`'s
+    pinned bytes, CholeskyQR3 for the diagnostics' BLAS-3 basis. Raises
+    RankDeficient as `qr_factor`, InvalidSpec on a float64 overflow.
     """
-    a = as_matrix(a)
+    a = _as_tall(a)
     b = as_vector(b)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
-    f = qr_factor(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = solve_triangular(f.r, f.q.T @ b, lower=False, check_finite=False)
-    if not np.isfinite(x).all():
-        raise InvalidSpec("the least-squares solve overflowed float64; scale A and b toward 1")
-    return x
+    return _stacked_lstsq(np.column_stack([a, b]))[0]
 
 
 def orthonormal_basis(a) -> np.ndarray:
@@ -155,7 +158,7 @@ def orthonormal_basis(a) -> np.ndarray:
             raise RankDeficient("Cholesky factor of the Gram matrix failed") from None
         q = q @ np.linalg.inv(c)
         diag *= np.diag(c)
-    _require_full_rank(diag.min(), diag.max(), "R diagonal")
+    _require_full_rank(diag)
     return q
 
 
@@ -199,11 +202,8 @@ def project_out(u, b) -> np.ndarray:
 
 
 def condition_number(a) -> float:
-    """sigma_max / sigma_min of a full-column-rank tall matrix."""
-    return condition_from_singular_values(gram_singular_values(a))
-
-
-def condition_from_singular_values(sv: np.ndarray) -> float:
-    """sigma_max / sigma_min from singular values in descending order."""
-    _require_full_rank(sv[-1], sv[0], "singular-value")
+    """sigma_max / sigma_min of a full-column-rank tall matrix; RankDeficient
+    when sigma_min <= 1e-12 sigma_max."""
+    sv = gram_singular_values(a)
+    _require_full_rank(sv, "singular-value")
     return float(sv[0] / sv[-1])

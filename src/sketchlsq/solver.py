@@ -51,9 +51,9 @@ from .errors import (
 )
 from .hadamard import SignDiagonal, apply_rht, next_pow2, partial_rht_rows, sample_signs
 from .linalg import (
+    _stacked_lstsq,
     as_matrix,
     as_vector,
-    condition_from_singular_values,
     gram_singular_values,
     orthonormal_basis,
     project_out,
@@ -137,7 +137,8 @@ class Diagnostics:
     `cross_term` is the squared norm ||(X U)^T X b_perp||^2, so it overflows
     to inf once entries exceed ~1e154; `cross_term_ok` compares norms and
     stays exact at any scale. `kappa` and `sigma_min` are A's, from one SVD
-    of the d x d matrix U^T A, ready for `predicted_error_bounds`.
+    of the d x d matrix U^T A, ready for `predicted_error_bounds`; the solve
+    has judged the rank, so `kappa` is not retested and can exceed 1e12.
     """
 
     sigma_xu: np.ndarray
@@ -340,7 +341,7 @@ def _diagnostics(problem: LsProblem, d_signs: SignDiagonal, op, eps: float) -> D
     return Diagnostics(
         z=z,
         gamma=gamma_fraction(u, b_pad),
-        kappa=condition_from_singular_values(sv),
+        kappa=float(sv[0] / sv[-1]),
         sigma_min=float(sv[-1]),
         **vars(check),
     )
@@ -537,6 +538,5 @@ def sketch_solve_best_of(
 
 
 def exact_outcome(problem: LsProblem) -> tuple[np.ndarray, float]:
-    """Exact solution and optimal residual of the full problem."""
-    x = solve_exact_ls(problem.a, problem.b)
-    return x, _residual_norm(problem, x)
+    """Exact x and optimal residual, both from the R of the problem's [A | b]."""
+    return _stacked_lstsq(problem.stacked[:problem.n])

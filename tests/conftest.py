@@ -2,9 +2,16 @@
 
 import pytest
 
+import sketchlsq.bench as bench
+import sketchlsq.cli as cli
 import sketchlsq.ensembles as ensembles
 import sketchlsq.solver as solver
-from oracles import frozen_sparse_projection, householder_orthonormal_basis
+from oracles import (
+    frozen_sparse_projection,
+    householder_exact_outcome,
+    householder_orthonormal_basis,
+    householder_solve_exact_ls,
+)
 
 
 @pytest.fixture
@@ -22,3 +29,13 @@ def householder_basis(monkeypatch):
     before shifted CholeskyQR3, so that digests taken on it keep their
     meaning."""
     monkeypatch.setattr(solver, "orthonormal_basis", householder_orthonormal_basis)
+
+
+@pytest.fixture
+def householder_solve(monkeypatch):
+    """Make every least-squares solve, the small solve and every caller's
+    exact solve, the Householder-Q route it was before the R of the
+    stacked [A | b], so that digests taken on it keep their meaning."""
+    monkeypatch.setattr(solver, "solve_exact_ls", householder_solve_exact_ls)
+    for module in (solver, ensembles, bench, cli):
+        monkeypatch.setattr(module, "exact_outcome", householder_exact_outcome)

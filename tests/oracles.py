@@ -5,16 +5,19 @@ Gaussian elimination for the normal equations, characteristic-polynomial
 coefficients via the trace recurrence for singular values, matrices built
 around a known singular spectrum, triple-loop products for sparse
 operators, the plain stage-by-stage Hadamard butterfly, the triplet
-sparse-projection draws and product, and the frozen projection draw and
-Householder basis that pinned digests were taken with.
+sparse-projection draws and product, and the frozen projection draw,
+Householder basis and Householder least-squares solve that pinned digests
+were taken with.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import solve_triangular
 
-from sketchlsq.linalg import qr_factor
+from sketchlsq.errors import DimensionMismatch, InvalidSpec
+from sketchlsq.linalg import as_matrix, as_vector, qr_factor, vector_norm
 from sketchlsq.rng import stream
 from sketchlsq.sketches import SparseProjection
 
@@ -199,6 +202,30 @@ def householder_orthonormal_basis(a):
     of Householder QR with a nonnegative R diagonal. The certificate
     digests taken before the re-roll hold on it."""
     return qr_factor(a).q
+
+
+def householder_solve_exact_ls(a, b):
+    """The least-squares solve as it was before the R of the stacked
+    [A | b]: Q^T b by the Householder Q of `qr_factor`, then back
+    substitution. The solution, certificate and cold-path digests taken
+    before the re-roll hold on it."""
+    a = as_matrix(a)
+    b = as_vector(b)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
+    f = qr_factor(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solve_triangular(f.r, f.q.T @ b, lower=False, check_finite=False)
+    if not np.isfinite(x).all():
+        raise InvalidSpec("the least-squares solve overflowed float64; scale A and b toward 1")
+    return x
+
+
+def householder_exact_outcome(problem):
+    """The exact solve as it was before the R of the stacked [A | b]: the
+    Householder solution, then the nrm2 of its residual A x - b."""
+    x = householder_solve_exact_ls(problem.a, problem.b)
+    return x, vector_norm(problem.a @ x - problem.b)
 
 
 def reference_skip_projection(k, n, q, seed, label="sparse-projection"):

@@ -228,11 +228,33 @@ def _cold_path_corpus() -> list:
     return parts
 
 
-def test_cold_path_bytes_pinned(frozen_projection_draw):
+def test_cold_path_bytes_pinned(frozen_projection_draw, householder_solve):
     digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
     assert digest == _PINNED_COLD_PATH_DIGEST
 
 
-def test_cold_path_bytes_pinned_on_the_skip_draw():
+def test_cold_path_bytes_pinned_on_the_skip_draw(householder_solve):
     digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
     assert digest == _PINNED_SKIP_DRAW_COLD_PATH_DIGEST
+
+
+# Both cold-path digests above were computed on the Householder solve (now
+# `householder_solve_exact_ls` and `householder_exact_outcome`); their
+# twins pin the R of the stacked [A | b], the same at 1 and at 2 BLAS
+# threads.
+_PINNED_STACKED_R_COLD_PATH_DIGEST = (
+    "f39099527896f3d1626a935499f1b72b18201ed7872d790bac9432a58e5c2d2f"
+)
+_PINNED_STACKED_R_SKIP_DRAW_COLD_PATH_DIGEST = (
+    "8565ecdf94befae58e2a6e891e9cdb59af1efe62312405589fe1b66c08caa7f9"
+)
+
+
+def test_cold_path_bytes_pinned_on_the_stacked_r(frozen_projection_draw):
+    digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
+    assert digest == _PINNED_STACKED_R_COLD_PATH_DIGEST
+
+
+def test_cold_path_bytes_pinned_on_the_skip_draw_and_the_stacked_r():
+    digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
+    assert digest == _PINNED_STACKED_R_SKIP_DRAW_COLD_PATH_DIGEST

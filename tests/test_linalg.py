@@ -22,8 +22,18 @@ from sketchlsq.linalg import (
 )
 from sketchlsq.problems import KIND_ILL_CONDITIONED, ProblemSpec, gen_problem
 from sketchlsq.sketches import SketchParams
-from sketchlsq.solver import exact_outcome, sketch_solve_projection, sketch_solve_sampling
-from oracles import charpoly_singular_values, known_spectrum_matrix
+from sketchlsq.solver import (
+    LsProblem,
+    exact_outcome,
+    sketch_solve_projection,
+    sketch_solve_sampling,
+)
+from oracles import (
+    charpoly_singular_values,
+    householder_exact_outcome,
+    householder_solve_exact_ls,
+    known_spectrum_matrix,
+)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -107,6 +117,55 @@ def test_solve_overflow_is_typed(a, b):
     # Full rank, finite input, no RuntimeWarning: the overflow is named.
     with pytest.raises(InvalidSpec, match="overflowed float64"):
         solve_exact_ls(np.array(a), np.array(b))
+    with pytest.raises(InvalidSpec, match="overflowed float64"):
+        exact_outcome(LsProblem(np.array(a), np.array(b)))
+
+
+@pytest.mark.parametrize("n", [2**12, 2**12 + 1])
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e10])
+def test_stacked_r_matches_the_householder_oracle(n, kappa):
+    # x moves within the forward-error scale kappa u of the Householder-Q
+    # route, and the residual norm read off R matches nrm2 of A x - b to
+    # 1e-12 or to u ||A|| ||x||, the rounding either route makes in rho: at
+    # kappa = 1e10, with ||x|| ~ 1e10, both read up to 3e-10 off an
+    # extended-precision rho (seeds 0, 1 and 3).
+    a, s = known_spectrum_matrix(n, 10, kappa, seed=3)
+    b = np.random.default_rng(n).standard_normal(n)
+    x_ref, rho_ref = householder_exact_outcome(LsProblem(a, b))
+    x, rho = exact_outcome(LsProblem(a, b))
+    tol = 100 * kappa * 2.0**-53 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(x - x_ref) <= tol
+    assert np.linalg.norm(solve_exact_ls(a, b) - householder_solve_exact_ls(a, b)) <= tol
+    assert abs(rho - rho_ref) <= 1e-12 * rho_ref + 2.0**-53 * s[0] * np.linalg.norm(x_ref)
+
+
+def test_stacked_r_square_system_has_zero_residual():
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal((10, 10)), rng.standard_normal(10)
+    x, rho = exact_outcome(LsProblem(a, b))
+    assert rho == 0.0
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(solve_exact_ls(a, b), x)
+
+
+def test_stacked_r_rank_test_reads_the_r_diagonal():
+    a = _duplicate_column()
+    b = np.ones(a.shape[0])
+    with pytest.raises(RankDeficient, match="R diagonal"):
+        solve_exact_ls(a, b)
+    with pytest.raises(RankDeficient, match="R diagonal"):
+        exact_outcome(LsProblem(a, b))
+
+
+def test_least_squares_forms_no_q(monkeypatch):
+    def no_q(a):
+        raise AssertionError("a least-squares solve formed Q")
+
+    monkeypatch.setattr(linalg, "qr_factor", no_q)
+    a, _ = known_spectrum_matrix(64, 4, 10.0, seed=1)
+    b = np.random.default_rng(1).standard_normal(64)
+    x, _ = exact_outcome(LsProblem(a, b))
+    assert np.array_equal(solve_exact_ls(a, b), x)
 
 
 def test_orthonormal_basis_axis_aligned():

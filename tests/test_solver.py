@@ -22,6 +22,7 @@ from sketchlsq.errors import (
 )
 from sketchlsq.linalg import (
     RANK_TOL,
+    condition_number,
     orthonormal_basis,
     project_out,
     solve_exact_ls,
@@ -126,6 +127,20 @@ def test_sampled_solve_makes_no_copy_of_the_problem():
     finally:
         tracemalloc.stop()
     assert peak < 2 * problem.stacked.nbytes
+
+
+def test_exact_solve_holds_no_q():
+    # The R of the problem's own [A | b] costs one working copy of it; an
+    # n x d Q on top of that copy would push the peak to ~2x.
+    problem = gen_problem(ProblemSpec(KIND_GAUSSIAN, 2**14, 30, 10.0, 0.9, seed=7))
+    exact_outcome(problem)
+    tracemalloc.start()
+    try:
+        exact_outcome(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * problem.stacked[:problem.n].nbytes
 
 
 def test_full_sketch_collapse(gaussian_problem):
@@ -357,6 +372,24 @@ def test_diagnostics_kappa_matches_a_known_spectrum(n, kappa):
     out = sketch_solve_sampling(LsProblem(a, b), _params(), 23, diagnostics=True)
     assert out.diagnostics.kappa == pytest.approx(kappa, rel=1e-6)
     assert out.diagnostics.sigma_min == pytest.approx(1.0 / kappa, rel=1e-6)
+
+
+@pytest.mark.parametrize("kappa", [2e12, 1e13])
+def test_certified_solve_keeps_the_solved_x_past_the_rank_tolerance(kappa):
+    # The solve's R diagonal judges the rank once; kappa past 1/RANK_TOL is
+    # reported, not refused, and the certified x is the plain one.
+    a, _ = known_spectrum_matrix(4096, 10, kappa, seed=8)
+    problem = LsProblem(a, np.random.default_rng(1).standard_normal(4096))
+    params = SketchParams(epsilon=0.5, r=256)
+    plain = sketch_solve_sampling(problem, params, 23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certified = sketch_solve_sampling(problem, params, 23, diagnostics=True)
+    assert certified.x_tilde.tobytes() == plain.x_tilde.tobytes()
+    assert certified.diagnostics.kappa == pytest.approx(kappa, rel=1e-4)
+    assert certified.diagnostics.sigma_min == pytest.approx(1.0 / kappa, rel=1e-4)
+    with pytest.raises(RankDeficient, match="singular-value"):
+        condition_number(a)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
@@ -633,7 +666,7 @@ def _solution_digest(outs) -> str:
     return h.hexdigest()
 
 
-def test_solution_bytes_pinned(frozen_projection_draw):
+def test_solution_bytes_pinned(frozen_projection_draw, householder_solve):
     plain = _bytes_corpus(diagnostics=False)
     certified = _bytes_corpus(diagnostics=True)
     assert [o.retries for o in plain[-4:]] == [1, 0, 1, 0]
@@ -642,7 +675,7 @@ def test_solution_bytes_pinned(frozen_projection_draw):
     assert _solution_digest(plain) == _PINNED_SOLUTION_DIGEST
 
 
-def test_solution_bytes_pinned_on_the_skip_draw():
+def test_solution_bytes_pinned_on_the_skip_draw(householder_solve):
     plain = _bytes_corpus(diagnostics=False)
     certified = _bytes_corpus(diagnostics=True)
     # On this draw the first projection seed of the 9 x 6 cell loses rank
@@ -651,6 +684,37 @@ def test_solution_bytes_pinned_on_the_skip_draw():
     assert isinstance(plain[-2], RankDeficient) and plain[-1].retries == 0
     assert _solution_digest(certified) == _solution_digest(plain)
     assert _solution_digest(plain) == _PINNED_SKIP_DRAW_SOLUTION_DIGEST
+
+
+# The two solution digests above were computed when every least-squares
+# solve went through Householder's Q (now `householder_solve_exact_ls`).
+# Their twins below pin the R of the stacked [A | b], the same at 1 and at
+# 2 BLAS threads. Every retries value and RankDeficient decision is the one
+# the Householder route gives.
+_PINNED_STACKED_R_SOLUTION_DIGEST = (
+    "d7f6db33b3e3c26a76ab70db44c5a4a7b611d6ff5f9fa6a8c98276ec81b2e26e"
+)
+_PINNED_STACKED_R_SKIP_DRAW_SOLUTION_DIGEST = (
+    "b4f3df769fe9cb133061fd4de9859023b61801c0a510b9bc381823debbff2e6a"
+)
+
+
+def test_solution_bytes_pinned_on_the_stacked_r(frozen_projection_draw):
+    plain = _bytes_corpus(diagnostics=False)
+    certified = _bytes_corpus(diagnostics=True)
+    assert [o.retries for o in plain[-4:]] == [1, 0, 1, 0]
+    assert all(o.diagnostics is not None for o in certified)
+    assert _solution_digest(certified) == _solution_digest(plain)
+    assert _solution_digest(plain) == _PINNED_STACKED_R_SOLUTION_DIGEST
+
+
+def test_solution_bytes_pinned_on_the_skip_draw_and_the_stacked_r():
+    plain = _bytes_corpus(diagnostics=False)
+    certified = _bytes_corpus(diagnostics=True)
+    assert [o.retries for o in plain[-4:-2]] == [1, 0]
+    assert isinstance(plain[-2], RankDeficient) and plain[-1].retries == 0
+    assert _solution_digest(certified) == _solution_digest(plain)
+    assert _solution_digest(plain) == _PINNED_STACKED_R_SKIP_DRAW_SOLUTION_DIGEST
 
 
 
@@ -681,12 +745,32 @@ def _certificate_digest() -> str:
     return h.hexdigest()
 
 
-def test_certificate_bytes_pinned(householder_basis):
+def test_certificate_bytes_pinned(householder_basis, householder_solve):
     assert _certificate_digest() == _PINNED_CERTIFICATE_DIGEST
 
 
-def test_certificate_bytes_pinned_on_cholesky_qr3():
+def test_certificate_bytes_pinned_on_cholesky_qr3(householder_solve):
     assert _certificate_digest() == _PINNED_CHOLESKY_QR3_CERTIFICATE_DIGEST
+
+
+# Both certificate digests above were computed on the Householder solve;
+# their twins pin the R of the stacked [A | b], the same at 1 and at 2
+# BLAS threads. Only residual_tilde moves: every Diagnostics byte is the
+# one the Householder solve gives.
+_PINNED_STACKED_R_CERTIFICATE_DIGEST = (
+    "c9258376802de6f96da53169994cea3c6d600a0c5f4f4381c0d67dd106a702f8"
+)
+_PINNED_STACKED_R_CHOLESKY_QR3_CERTIFICATE_DIGEST = (
+    "7f9fca327006c6da931f095b8d1f8c6c4b9fde5085700adf3c9c53de39e6c538"
+)
+
+
+def test_certificate_bytes_pinned_on_the_stacked_r(householder_basis):
+    assert _certificate_digest() == _PINNED_STACKED_R_CERTIFICATE_DIGEST
+
+
+def test_certificate_bytes_pinned_on_cholesky_qr3_and_the_stacked_r():
+    assert _certificate_digest() == _PINNED_STACKED_R_CHOLESKY_QR3_CERTIFICATE_DIGEST
 
 # --- CGNR at extreme entry scales and degenerate shapes ---------------------
 
