@@ -254,6 +254,19 @@ def _moment_pair(n: int, q: float, pair_seed: int) -> tuple[np.ndarray, np.ndarr
     return x, y
 
 
+def _moment_deltas(n: int, k: int, q: float, seeds: int, pairs: int, base_seed: int):
+    """The pairs (x, y) and x^T T^T T y - x^T y by pair and seed; each draw serves all pairs."""
+    xys = [_moment_pair(n, q, base_seed + 1000 * pair_idx) for pair_idx in range(pairs)]
+    # Columns x0 y0 x1 y1 ...; each sums as in a product with it alone.
+    xy = np.column_stack([v for pair in xys for v in pair])
+    products = np.empty((pairs, seeds))
+    for s in range(seeds):
+        t = draw_sparse_projection(k, n, q, base_seed + s, label="ensemble/moment")
+        txy = np.ascontiguousarray(apply_sparse_projection(t, xy).T)
+        products[:, s] = [float(txy[2 * p] @ txy[2 * p + 1]) for p in range(pairs)]
+    return xys, products - np.array([[float(x @ y)] for x, y in xys])
+
+
 def moment_bound(
     n: int = 256,
     k: int = 32,
@@ -266,18 +279,9 @@ def moment_bound(
     closed-form bound 2/k ||x||^2 ||y||^2 + 1/(kq) sum_p x_p^2 y_p^2,
     with an unbiasedness check alongside."""
     results = []
-    for pair_idx in range(pairs):
-        x, y = _moment_pair(n, q, base_seed + 1000 * pair_idx)
-        target = float(x @ y)
+    xys, all_deltas = _moment_deltas(n, k, q, seeds, pairs, base_seed)
+    for pair_idx, ((x, y), deltas) in enumerate(zip(xys, all_deltas)):
         bound = (2.0 / k) * 1.0 * 1.0 + (1.0 / (k * q)) * float(np.sum(x**2 * y**2))
-        xy = np.column_stack([x, y])
-        deltas = np.empty(seeds)
-        for s in range(seeds):
-            t = draw_sparse_projection(k, n, q, base_seed + s, label="ensemble/moment")
-            # One product for both vectors; each column sums in the same
-            # order as a product with that vector alone.
-            tx, ty = np.ascontiguousarray(apply_sparse_projection(t, xy).T)
-            deltas[s] = float(tx @ ty) - target
         second = float(np.mean(deltas**2))
         se = float(np.std(deltas) / math.sqrt(seeds))
         moment_ok = second <= 1.1 * bound

@@ -294,8 +294,9 @@ def _pruned_rows(work: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
     """Selected rows of H D a, bit-identical to slicing `apply_rht(a, d_signs)`.
 
-    `rows` may repeat and need not be sorted; the output row order matches
-    the request. Falls back to the full transform when more than a sixth
+    `rows` are integers (an empty request may have any dtype); they may
+    repeat and need not be sorted, and the output row order matches the
+    request. Falls back to the full transform when more than a sixth
     of all rows are requested.
     """
     arr, was_vector = _as_columns(a, "matrix")
@@ -303,14 +304,14 @@ def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
     _require_pow2(n)
     if n != d_signs.n:
         raise DimensionMismatch(f"matrix has {n} rows, diagonal has {d_signs.n}")
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     if rows.ndim != 1:
         raise IndexOutOfRange("rows must be a 1-D index list")
-    if rows.size and (rows.min() < 0 or rows.max() >= n):
-        raise IndexOutOfRange(f"row indices must lie in [0, {n})")
     if rows.size == 0:
         return np.empty(0) if was_vector else np.empty((0, arr.shape[1]))
-    wanted, inverse = np.unique(rows, return_inverse=True)
+    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+        raise IndexOutOfRange(f"row indices must be integers in [0, {n})")
+    wanted, inverse = np.unique(rows.astype(np.int64, copy=False), return_inverse=True)
     if wanted.size > n // _PRUNE_FRACTION:
         full = apply_rht(arr, d_signs)
         out = full[rows]

@@ -5,7 +5,8 @@ row sampling with replacement (rescaled by sqrt(n/r)) and a sparse random
 projection whose nonzero cells are +-1/sqrt(kq), drawn straight into CSR
 form from O(nnz) random numbers: geometric skips between nonzero cells on
 the (seed, label + "/positions") stream, one raw sign byte per nonzero on
-the (seed, label) stream. The skips are numpy's own geometric variates:
+the (seed, label) stream, and applied as scipy's public CSR operator over
+views of those arrays. The skips are numpy's own geometric variates:
 below q = 1/3 its inversion ceil(-E / log1p(-q)) of standard exponentials
 E, drawn as exponentials with log1p(-q) taken once per batch, and from 1/3
 on `Generator.geometric` itself. The sizes come in two fixed sets: the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse import _sparsetools
+import scipy.sparse
 
 from . import workers
 from .errors import DimensionMismatch, InvalidEpsilon, InvalidSparsity, InvalidSpec
@@ -368,14 +369,15 @@ def draw_sparse_projection(
 def apply_sparse_projection(t: SparseProjection, m) -> np.ndarray:
     """Product T m in O(nnz(T) * cols(m)) time, for a vector or a matrix m.
 
-    Each row sums its nonzeros from zero in ascending column order, by
-    scipy's CSR kernel, the one `csr_matrix @ m` calls. From `_CHUNK`
-    nonzeros on, the k rows are cut into one run per worker
-    (`workers.split`), each summed into its own rows of one output that the
-    calling thread allocates first; below that, or with a single row, the
-    calling thread does it all. The bytes are those of the serial product
-    either way, and building no per-worker matrix keeps peak memory flat. A
-    fully dense draw (q = 1) goes through BLAS instead. The draw stays on
+    Each row sums its nonzeros from zero in ascending column order: the
+    product is scipy's public `csr_array @ m`, on views of the projection's
+    own arrays. From `_CHUNK` nonzeros on, the k rows are cut into one run
+    per worker (`workers.split`), each run an operator of its own rows whose
+    product goes into those rows of one output that the calling thread
+    allocates first; below that, or with a single row, the calling thread
+    does it all. The bytes are those of the serial product either way, and
+    no run copies the projection, so peak memory stays flat. A fully dense
+    draw (q = 1) goes through BLAS instead. The draw stays on
     the calling thread: its geometric gaps come from one stream in order,
     and split draws would change the bytes.
     """
@@ -385,22 +387,16 @@ def apply_sparse_projection(t: SparseProjection, m) -> np.ndarray:
     if t.nnz == t.k * t.n:
         # The signs fill the grid in row-major order.
         return (t.signs.reshape(t.k, t.n) @ m) * t.magnitude
-    out = np.zeros((t.k, *m.shape[1:]))
-    # Row-major operand and output, as the kernel reads them; scipy also
-    # takes a single column as a vector.
-    x, width = m.ravel(), (1 if m.ndim == 1 else m.shape[1])
-    index = np.int32 if max(t.nnz, t.n) < 2**31 else np.int64
-    indptr, cols = t.indptr.astype(index, copy=False), t.cols.astype(index, copy=False)
-    signs = t.signs.astype(np.float64, copy=False)
+    m = np.ascontiguousarray(m)  # scipy ravels it: one copy, not one per run
+    out = np.empty((t.k, *m.shape[1:]))
 
     def rows(lo, hi):
-        y = out[lo:hi].reshape(-1)
-        if width == 1:
-            _sparsetools.csr_matvec(hi - lo, t.n, indptr[lo : hi + 1], cols, signs, x, y)
-        else:
-            _sparsetools.csr_matvecs(
-                hi - lo, t.n, width, indptr[lo : hi + 1], cols, signs, x, y
-            )
+        a, b = t.indptr[lo], t.indptr[hi]
+        # Views set on an empty operator: the (data, indices, indptr)
+        # constructor copies a slice under half its array.
+        run = scipy.sparse.csr_array((hi - lo, t.n))
+        run.indptr, run.indices, run.data = t.indptr[lo : hi + 1] - a, t.cols[a:b], t.signs[a:b]
+        out[lo:hi] = run @ m
 
     if t.nnz < _CHUNK:
         rows(0, t.k)

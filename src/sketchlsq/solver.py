@@ -183,7 +183,8 @@ def gamma_fraction(u, b) -> float:
 
 def verify_conditions(xu, xbperp, z: float, eps: float) -> ConditionCheck:
     """Measure the embedding and cross-term conditions from the sketched
-    basis X U and the sketched out-of-range component X b_perp."""
+    basis X U and the sketched out-of-range component X b_perp, for eps
+    in (0, 1)."""
     xu = as_matrix(xu, "XU")
     xbperp = as_vector(xbperp, "Xb_perp")
     if xu.shape[0] != xbperp.shape[0]:
@@ -192,6 +193,8 @@ def verify_conditions(xu, xbperp, z: float, eps: float) -> ConditionCheck:
         )
     if z < 0.0:
         raise InvalidSpec(f"z must be >= 0, got {z}")
+    if not 0.0 < eps < 1.0:
+        raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
     sigma = gram_singular_values(xu)
     # ||v|| <= Z sqrt(eps/2) is ||v||^2 <= eps Z^2 / 2 without the squares,
     # which overflow or underflow at extreme scales.
@@ -307,14 +310,6 @@ def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.n
     return np.ldexp(x, shift)
 
 
-def _small_solve(m, v, small_solver: str) -> np.ndarray:
-    if small_solver == "qr":
-        return solve_exact_ls(m, v)
-    if small_solver == "cgnr":
-        return cgnr_solve(m, v, tol=1e-12)
-    raise InvalidSpec(f"unknown small solver {small_solver!r}")
-
-
 def _transform(op, m, d_signs: SignDiagonal) -> np.ndarray:
     """H D m, evaluated only at the plan's rows when `op` samples."""
     if isinstance(op, SamplingPlan):
@@ -389,7 +384,8 @@ def _sketch_solve(
         if not np.isfinite(sketched).all():
             raise InvalidSpec("the sketch of [A | b] overflowed float64; scale A and b down")
         try:
-            x = _small_solve(sketched[:, :-1], sketched[:, -1], small_solver)
+            m, v = sketched[:, :-1], sketched[:, -1]
+            x = solve_exact_ls(m, v) if small_solver == "qr" else cgnr_solve(m, v, tol=1e-12)
         except RankDeficient:
             if op is not None or attempt == 1:
                 raise
@@ -460,6 +456,8 @@ def sketch_solve_sampling(
     the next derived stream, then fails.
     """
     check_sketch_size(METHOD_SAMPLING, params, problem.d)
+    if small_solver not in ("qr", "cgnr"):
+        raise InvalidSpec(f"unknown small solver {small_solver!r}")
 
     def draw(padded_n: int, label: str) -> SamplingPlan:
         if params.r >= padded_n:

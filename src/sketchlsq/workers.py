@@ -1,4 +1,4 @@
-"""One worker per core for numpy loops that release the interpreter lock.
+"""One worker per core for numpy and scipy loops that release the GIL.
 
 `split(fn, count)` cuts range(count) into one contiguous run per worker
 and calls fn(lo, hi) on each: the first run on the calling thread, the
@@ -6,9 +6,9 @@ others on a pool of WORKERS - 1 threads, started on first use. WORKERS is
 the number of cores this process may run on. Callers hand it only work
 whose runs touch disjoint memory, so each element sees the same
 operations in the same order however the runs are shared out, and the
-bytes do not depend on the core count. Runs call only numpy and private
-helpers, never a function the solver looks up by name, so every traced
-call stays on the calling thread.
+bytes do not depend on the core count. Runs call only numpy, scipy's
+public sparse product and private helpers, never a function the solver
+looks up by name, so every traced call stays on the calling thread.
 """
 
 import contextvars

@@ -5,9 +5,9 @@ Gaussian elimination for the normal equations, characteristic-polynomial
 coefficients via the trace recurrence for singular values, matrices built
 around a known singular spectrum, triple-loop products for sparse
 operators, the plain stage-by-stage Hadamard butterfly, the triplet
-sparse-projection draws and product, and the frozen projection draw,
-Householder basis and Householder least-squares solve that pinned digests
-were taken with.
+sparse-projection draws and product, the per-pair moment-bound loop, and
+the frozen projection draw, Householder basis and Householder
+least-squares solve that pinned digests were taken with.
 """
 
 import math
@@ -16,10 +16,15 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import solve_triangular
 
+from sketchlsq.ensembles import EnsembleResult, _moment_pair
 from sketchlsq.errors import DimensionMismatch, InvalidSpec
 from sketchlsq.linalg import as_matrix, as_vector, qr_factor, vector_norm
 from sketchlsq.rng import stream
-from sketchlsq.sketches import SparseProjection
+from sketchlsq.sketches import (
+    SparseProjection,
+    apply_sparse_projection,
+    draw_sparse_projection,
+)
 
 
 def gaussian_solve(m, rhs):
@@ -254,3 +259,38 @@ def reference_projection_product(k, n, rows, cols, signs, magnitude, m):
         return np.bincount(rows, weights=signs * m[cols], minlength=k) * magnitude
     sp = scipy.sparse.csr_matrix((signs, (rows, cols)), shape=(k, n))
     return (sp @ m) * magnitude
+
+
+def per_pair_moment_bound(n, k, q, seeds, pairs, base_seed=0):
+    """`ensembles.moment_bound` as it was before one draw served every
+    pair: each pair redraws the projection for every seed and applies it to
+    its own [x y]. Returns the results and the (pairs, seeds) deltas."""
+    results, all_deltas = [], np.empty((pairs, seeds))
+    for pair_idx in range(pairs):
+        x, y = _moment_pair(n, q, base_seed + 1000 * pair_idx)
+        target = float(x @ y)
+        bound = (2.0 / k) * 1.0 * 1.0 + (1.0 / (k * q)) * float(np.sum(x**2 * y**2))
+        xy = np.column_stack([x, y])
+        deltas = np.empty(seeds)
+        for s in range(seeds):
+            t = draw_sparse_projection(k, n, q, base_seed + s, label="ensemble/moment")
+            tx, ty = np.ascontiguousarray(apply_sparse_projection(t, xy).T)
+            deltas[s] = float(tx @ ty) - target
+        all_deltas[pair_idx] = deltas
+        second = float(np.mean(deltas**2))
+        se = float(np.std(deltas) / math.sqrt(seeds))
+        moment_ok = second <= 1.1 * bound
+        unbiased_ok = abs(float(np.mean(deltas))) <= 3.0 * se
+        results.append(
+            EnsembleResult(
+                f"moment-bound pair {pair_idx}",
+                int(moment_ok) + int(unbiased_ok),
+                2,
+                1.0,
+                details={
+                    "ratio": round(second / bound, 4),
+                    "mean_over_3se": round(abs(float(np.mean(deltas))) / (3 * se), 4),
+                },
+            )
+        )
+    return results, all_deltas

@@ -206,6 +206,23 @@ def test_partial_rejects_out_of_range():
         partial_rht_rows(a, signs, [-1])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[1.7, 2.2], np.array([1.0, 2.0]), np.array([True, False, True, False] * 2), ["1"]],
+    ids=["fractional", "whole-floats", "boolean", "strings"],
+)
+def test_partial_rejects_non_integer_rows(rows):
+    # Floats were truncated and a boolean mask read as rows 0 and 1.
+    with pytest.raises(IndexOutOfRange, match="integers"):
+        partial_rht_rows(np.ones((8, 1)), sample_signs(8, 0), rows)
+
+
+@pytest.mark.parametrize("rows", [[], np.array([], dtype=bool), np.array([], dtype=np.uint8)])
+def test_partial_empty_request_is_empty_at_any_dtype(rows):
+    assert partial_rht_rows(np.ones((8, 3)), sample_signs(8, 0), rows).shape == (0, 3)
+    assert partial_rht_rows(np.ones(8), sample_signs(8, 0), rows).shape == (0,)
+
+
 def test_partial_dimension_check():
     with pytest.raises(DimensionMismatch):
         partial_rht_rows(np.ones((8, 1)), sample_signs(16, 0), [0])

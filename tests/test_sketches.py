@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import sketchlsq.sketches as sketches
+from sketchlsq import ensembles
 
 from sketchlsq.errors import (
     DimensionMismatch,
@@ -31,6 +32,7 @@ from sketchlsq.rng import stream
 from oracles import (
     dense_projection_product,
     frozen_sparse_projection,
+    per_pair_moment_bound,
     reference_projection_product,
     reference_skip_projection,
     reference_sparse_projection,
@@ -289,6 +291,9 @@ def test_sparse_invalid_q():
         draw_sparse_projection(4, 8, 1.5, 0)
 
 
+_PINNED_PRODUCT_DIGEST = "3bfd2135dc74d1a1cbb6a1e70b2efcc8e0280d59d20950ba0ceae3f5a7c505e9"
+
+
 def test_apply_sparse_single_triplet():
     t = draw_sparse_projection(3, 3, 0.2, 1)
     t = type(t)(
@@ -322,6 +327,21 @@ def test_apply_sparse_vector_matches_matrix():
     as_vec = apply_sparse_projection(t, v)
     as_mat = apply_sparse_projection(t, v.reshape(-1, 1))[:, 0]
     assert np.allclose(as_vec, as_mat, atol=1e-14)
+
+
+def test_apply_sparse_bytes_pinned(monkeypatch):
+    # Matrix, 1-D, one-column and Fortran operands, whole and in row runs
+    # (nnz above and below `_CHUNK`); the digest predates scipy's public
+    # operator, taken on its private CSR kernel.
+    h = hashlib.sha256()
+    for k, n, q in [(7, 1025, 0.3), (32, 256, 0.125), (1, 64, 0.5), (160, 2**12, 0.3)]:
+        t = draw_sparse_projection(k, n, q, 5)
+        m = np.random.default_rng(k).standard_normal((n, 6))
+        for chunk in (1, t.nnz + 1):
+            monkeypatch.setattr(sketches, "_CHUNK", chunk)
+            for operand in (m, m[:, 0], m[:, :1], np.asfortranarray(m)):
+                h.update(apply_sparse_projection(t, operand).tobytes())
+    assert h.hexdigest() == _PINNED_PRODUCT_DIGEST
 
 
 def test_apply_sparse_norm_unbiased():
@@ -547,3 +567,24 @@ def test_sparse_jl_norm_preservation():
 
     result = sparse_jl(n=4096, d=8, eps=0.25, seeds=200, base_seed=0)
     assert result.rate >= 0.90
+
+
+def test_moment_bound_draws_one_projection_per_seed(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw_sparse_projection(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "draw_sparse_projection", counted)
+    ensembles.moment_bound(n=64, k=16, q=0.25, seeds=50, pairs=3)
+    assert len(calls) == 50
+
+
+@pytest.mark.parametrize("n,k,q,seeds,pairs,base_seed",
+                         [(256, 32, 0.125, 1000, 3, 0), (64, 16, 0.25, 200, 2, 5)])
+def test_moment_bound_matches_the_per_pair_loop(n, k, q, seeds, pairs, base_seed):
+    want, want_deltas = per_pair_moment_bound(n, k, q, seeds, pairs, base_seed)
+    assert ensembles.moment_bound(n, k, q, seeds, pairs, base_seed) == want
+    _, deltas = ensembles._moment_deltas(n, k, q, seeds, pairs, base_seed)
+    assert deltas.tobytes() == want_deltas.tobytes()

@@ -208,6 +208,14 @@ def test_verify_conditions_identity_sketch():
     assert check.embedding_ok and check.cross_term_ok
 
 
+@pytest.mark.parametrize("eps", [-0.5, 0.0, 1.0, 2.0, float("nan")])
+def test_verify_conditions_rejects_eps_outside_the_unit_interval(eps):
+    # Below 0 sqrt(eps / 2) was a math domain error; NaN read as a failed
+    # cross term.
+    with pytest.raises(InvalidEpsilon):
+        verify_conditions(np.eye(4)[:, :2], np.zeros(4), z=1.0, eps=eps)
+
+
 def test_verify_conditions_z_zero_boundary():
     u = np.eye(4)[:, :2]
     check = verify_conditions(u, np.zeros(4), z=0.0, eps=0.5)
@@ -307,6 +315,15 @@ def test_cgnr_small_solver_path(gaussian_problem):
     assert np.linalg.norm(out_qr.x_tilde - out_cg.x_tilde) <= 1e-6 * np.linalg.norm(
         out_qr.x_tilde
     )
+
+
+def test_unknown_small_solver_fails_before_any_draw(monkeypatch, gaussian_problem):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the signs were drawn before small_solver was checked")
+
+    monkeypatch.setattr(solver_mod, "sample_signs", unreachable)
+    with pytest.raises(InvalidSpec, match="unknown small solver"):
+        sketch_solve_sampling(gaussian_problem, _params(), 1, small_solver="bogus")
 
 
 def test_seed_determinism(gaussian_problem):
