@@ -113,8 +113,8 @@ def _print_outcome(args, problem, params, outcome, seed):
     )
     print(f"method={args.method} n={problem.n} d={problem.d} {size} seed={seed}")
     print(f"residual={outcome.residual_tilde:.10e}")
-    for phase in ("transform", "sketch-apply", "small-solve", "total"):
-        print(f"time[{phase}]={outcome.timings[phase]:.6f}s")
+    for phase, seconds in outcome.timings.items():
+        print(f"time[{phase}]={seconds:.6f}s")
     if outcome.diagnostics is not None:
         diag = outcome.diagnostics
         print(

@@ -13,6 +13,7 @@ them by sqrt(n/r), evaluating only those rows of the transform;
     sampled rows of it when sampling),
   - "sketch-apply": the rescale, or the sparse product,
   - "small-solve": the exact solve of the sketched problem,
+  - "diagnostics": the certificate below, only when one is asked for,
   - "total": the whole call, residual and diagnostics included.
 
 Diagnostics (opt-in, O(n d^2)) measure the two structural conditions that
@@ -24,7 +25,9 @@ make the small solution a relative-error approximation of the full one:
 
 where U is an orthonormal basis of range(A), b_perp the out-of-range part
 of b, and Z the optimal residual. When both hold, the residual and
-forward-error bounds follow deterministically.
+forward-error bounds follow deterministically. X U = (X H D A)(U^T A)^-1
+comes from the sketch the solve already holds, with relative accuracy
+about kappa(A) times the unit roundoff; only b_perp is transformed again.
 
 Keep every hadamard, sketches and linalg call a lookup of this module's
 globals at call time: the benchmark's spans and the tests wrap or replace
@@ -134,11 +137,17 @@ class ConditionCheck:
 class Diagnostics:
     """Embedding spectrum, cross term, and problem geometry for one solve.
 
-    `cross_term` is the squared norm ||(X U)^T X b_perp||^2, so it overflows
-    to inf once entries exceed ~1e154; `cross_term_ok` compares norms and
-    stays exact at any scale. `kappa` and `sigma_min` are A's, from one SVD
-    of the d x d matrix U^T A, ready for `predicted_error_bounds`; the solve
-    has judged the rank, so `kappa` is not retested and can exceed 1e12.
+    `sigma_xu` and `cross_term` take X U = (X H D A)(U^T A)^-1 from the
+    solve's own sketch, so they carry a relative error of about kappa(A)
+    times the unit roundoff (~2e-4 at kappa = 1e12, ~2e-3 at 1e13); X b_perp
+    is a transform of b_perp itself. Past kappa ~ 1e12 a flag whose value
+    lies within that fraction of its threshold may differ from the exact
+    one. `cross_term` is the squared norm ||(X U)^T X b_perp||^2, so it
+    overflows to inf once entries exceed ~1e154; `cross_term_ok` compares
+    norms and stays exact at any scale.
+    `kappa` and `sigma_min` are A's, from one SVD of the d x d matrix
+    U^T A, ready for `predicted_error_bounds`; the solve has judged the
+    rank, so `kappa` is not retested and can exceed 1e12.
     """
 
     sigma_xu: np.ndarray
@@ -191,7 +200,7 @@ def verify_conditions(xu, xbperp, z: float, eps: float) -> ConditionCheck:
         raise DimensionMismatch(
             f"XU has {xu.shape[0]} rows, Xb_perp has {xbperp.shape[0]}"
         )
-    if z < 0.0:
+    if not z >= 0.0:
         raise InvalidSpec(f"z must be >= 0, got {z}")
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
@@ -229,10 +238,15 @@ def predicted_error_bounds(
         raise InvalidGamma(f"gamma must be in [0, 1], got {gamma}")
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
-    if kappa < 1.0:
+    # Written as `not x >= ...` so that NaN fails each check too.
+    if not kappa >= 1.0:
         raise InvalidSpec(f"kappa must be >= 1, got {kappa}")
-    if sigma_min <= 0.0:
+    if not sigma_min > 0.0:
         raise InvalidSpec(f"sigma_min must be > 0, got {sigma_min}")
+    if not z >= 0.0:
+        raise InvalidSpec(f"z must be >= 0, got {z}")
+    if not x_norm >= 0.0:
+        raise InvalidSpec(f"x_norm must be >= 0, got {x_norm}")
     residual_bound = (1.0 + eps) * z
     if gamma == 0.0:
         forward_gamma = None
@@ -324,15 +338,32 @@ def _apply(op, hd: np.ndarray) -> np.ndarray:
     return apply_sparse_projection(op, hd)
 
 
-def _diagnostics(problem: LsProblem, d_signs: SignDiagonal, op, eps: float) -> Diagnostics:
+def _diagnostics(
+    problem: LsProblem, d_signs: SignDiagonal, op, sketched: np.ndarray, eps: float
+) -> Diagnostics:
+    """Certify the draw (d_signs, op) whose sketch of [A | b] is `sketched`.
+
+    A = U (U^T A), so X U = (X H D A)(U^T A)^-1 comes from the solve's own
+    sketch, accurate to about kappa(A) times the unit roundoff. b_perp gets
+    a transform of its own: X b - (X U)(U^T b) would cancel when Z << ||b||,
+    and bias the cross-term check toward passing.
+    """
     a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
     u = orthonormal_basis(a_pad)
     bperp = project_out(u, b_pad)
     z = vector_norm(bperp)
-    both = _apply(op, _transform(op, np.column_stack([u, bperp]), d_signs))
-    check = verify_conditions(both[:, :-1], both[:, -1], z, eps)
-    # A = U (U^T A), so A has the singular values of U^T A, a d x d matrix.
-    sv = gram_singular_values(u.T @ a_pad)
+    uta = u.T @ a_pad
+    # One 2-D column: the benchmark's spans read (n, cols) off every
+    # transform's input.
+    xbperp = _apply(op, _transform(op, bperp[:, None], d_signs))[:, 0]
+    # (U^T A)^-1 has norm 1/sigma_min(A), which overflows for small data, so
+    # both factors are first scaled, exactly, by one power of two that takes
+    # U^T A near 1; X U itself is O(1).
+    e = -int(np.frexp(np.abs(uta).max())[1])
+    xu = np.ldexp(sketched[:, :-1], e) @ np.linalg.inv(np.ldexp(uta, e))
+    check = verify_conditions(xu, xbperp, z, eps)
+    # A has the singular values of U^T A, a d x d matrix.
+    sv = gram_singular_values(uta)
     return Diagnostics(
         z=z,
         gamma=gamma_fraction(u, b_pad),
@@ -397,7 +428,11 @@ def _sketch_solve(
         timings["small-solve"] = t3 - t2
         break
     residual = _residual_norm(problem, x)
-    diag = _diagnostics(problem, d_signs, the_op, params.epsilon) if diagnostics else None
+    diag = None
+    if diagnostics:
+        t4 = time.perf_counter()
+        diag = _diagnostics(problem, d_signs, the_op, sketched, params.epsilon)
+        timings["diagnostics"] = time.perf_counter() - t4
     timings["total"] = time.perf_counter() - t_start
     return SketchOutcome(
         x_tilde=x,

@@ -11,6 +11,7 @@ from oracles import (
     householder_exact_outcome,
     householder_orthonormal_basis,
     householder_solve_exact_ls,
+    two_transform_diagnostics,
 )
 
 
@@ -39,3 +40,11 @@ def householder_solve(monkeypatch):
     monkeypatch.setattr(solver, "solve_exact_ls", householder_solve_exact_ls)
     for module in (solver, ensembles, bench, cli):
         monkeypatch.setattr(module, "exact_outcome", householder_exact_outcome)
+
+
+@pytest.fixture
+def two_transform(monkeypatch):
+    """Make every certificate the two-transform one it was before X U came
+    from the solve's own sketch, so that digests taken on it keep their
+    meaning."""
+    monkeypatch.setattr(solver, "_diagnostics", two_transform_diagnostics)

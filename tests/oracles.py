@@ -6,8 +6,8 @@ coefficients via the trace recurrence for singular values, matrices built
 around a known singular spectrum, triple-loop products for sparse
 operators, the plain stage-by-stage Hadamard butterfly, the triplet
 sparse-projection draws and product, the per-pair moment-bound loop, and
-the frozen projection draw, Householder basis and Householder
-least-squares solve that pinned digests were taken with.
+the frozen projection draw, Householder basis, Householder least-squares
+solve and two-transform diagnostics that pinned digests were taken with.
 """
 
 import math
@@ -16,9 +16,17 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import solve_triangular
 
+import sketchlsq.solver as solver
 from sketchlsq.ensembles import EnsembleResult, _moment_pair
 from sketchlsq.errors import DimensionMismatch, InvalidSpec
-from sketchlsq.linalg import as_matrix, as_vector, qr_factor, vector_norm
+from sketchlsq.linalg import (
+    as_matrix,
+    as_vector,
+    gram_singular_values,
+    project_out,
+    qr_factor,
+    vector_norm,
+)
 from sketchlsq.rng import stream
 from sketchlsq.sketches import (
     SparseProjection,
@@ -231,6 +239,28 @@ def householder_exact_outcome(problem):
     Householder solution, then the nrm2 of its residual A x - b."""
     x = householder_solve_exact_ls(problem.a, problem.b)
     return x, vector_norm(problem.a @ x - problem.b)
+
+
+def two_transform_diagnostics(problem, d_signs, op, sketched, eps):
+    """The diagnostics as they were before X U came from the solve's own
+    sketch: a second transform, of [U | b_perp], ignoring `sketched`. The
+    basis is looked up in `solver` at call time, so the Householder-basis
+    fixture reaches it. The certificate digests taken before the re-roll
+    hold on it."""
+    a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
+    u = solver.orthonormal_basis(a_pad)
+    bperp = project_out(u, b_pad)
+    z = vector_norm(bperp)
+    both = solver._apply(op, solver._transform(op, np.column_stack([u, bperp]), d_signs))
+    check = solver.verify_conditions(both[:, :-1], both[:, -1], z, eps)
+    sv = gram_singular_values(u.T @ a_pad)
+    return solver.Diagnostics(
+        z=z,
+        gamma=solver.gamma_fraction(u, b_pad),
+        kappa=float(sv[0] / sv[-1]),
+        sigma_min=float(sv[-1]),
+        **vars(check),
+    )
 
 
 def reference_skip_projection(k, n, q, seed, label="sparse-projection"):

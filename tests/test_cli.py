@@ -19,7 +19,8 @@ def test_solve_generated_problem(capsys):
     out = capsys.readouterr().out
     assert "residual=" in out
     assert "diagnostics:" in out
-    assert "time[total]" in out
+    phases = re.findall(r"^time\[(.*)\]=", out, re.MULTILINE)
+    assert phases == ["transform", "sketch-apply", "small-solve", "diagnostics", "total"]
 
 
 def test_solve_exact_and_output(tmp_path, capsys):

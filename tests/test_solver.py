@@ -49,7 +49,7 @@ from sketchlsq.solver import (
     sketch_solve_sampling,
     verify_conditions,
 )
-from oracles import known_spectrum_matrix
+from oracles import known_spectrum_matrix, two_transform_diagnostics
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,14 @@ def test_verify_conditions_rejects_eps_outside_the_unit_interval(eps):
         verify_conditions(np.eye(4)[:, :2], np.zeros(4), z=1.0, eps=eps)
 
 
+@pytest.mark.parametrize("z", [math.nan, -1.0])
+def test_verify_conditions_rejects_a_nan_or_negative_z(z):
+    # NaN passed `z < 0` and read as a failed cross term, here one that is
+    # exactly zero.
+    with pytest.raises(InvalidSpec, match="z must be"):
+        verify_conditions(np.eye(4)[:, :2], np.array([0.0, 0, 1.0, 0]), z=z, eps=0.5)
+
+
 def test_verify_conditions_z_zero_boundary():
     u = np.eye(4)[:, :2]
     check = verify_conditions(u, np.zeros(4), z=0.0, eps=0.5)
@@ -274,6 +282,22 @@ def test_predicted_bounds_validation():
         predicted_error_bounds(2.0, 1.5, 0.25, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidEpsilon):
         predicted_error_bounds(2.0, 0.5, 1.5, 1.0, 1.0, 1.0)
+
+
+_VALID_BOUNDS_ARGS = dict(kappa=2.0, gamma=0.5, eps=0.25, x_norm=1.0, z=1.0, sigma_min=0.5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("kappa", math.nan), ("kappa", 0.5),
+    ("sigma_min", math.nan), ("sigma_min", 0.0),
+    ("z", math.nan), ("z", -1.0),
+    ("x_norm", math.nan), ("x_norm", -1.0),
+])
+def test_predicted_bounds_reject_nan_and_out_of_range_arguments(name, value):
+    # NaN passed every `x < bound` check and came back as a NaN bound; a
+    # negative z or ||x_opt|| came back as a negative one.
+    with pytest.raises(InvalidSpec, match=name):
+        predicted_error_bounds(**{**_VALID_BOUNDS_ARGS, name: value})
 
 
 def test_cgnr_orthonormal_single_step():
@@ -392,9 +416,11 @@ def test_diagnostics_kappa_matches_a_known_spectrum(n, kappa):
 
 
 @pytest.mark.parametrize("kappa", [2e12, 1e13])
-def test_certified_solve_keeps_the_solved_x_past_the_rank_tolerance(kappa):
+def test_certified_solve_keeps_the_solved_x_past_the_rank_tolerance(monkeypatch, kappa):
     # The solve's R diagonal judges the rank once; kappa past 1/RANK_TOL is
-    # reported, not refused, and the certified x is the plain one.
+    # reported, not refused, and the certified x is the plain one. Its
+    # certificate, X U from the solve's own sketch, is still within
+    # 10 kappa u of the two-transform one, flags and all.
     a, _ = known_spectrum_matrix(4096, 10, kappa, seed=8)
     problem = LsProblem(a, np.random.default_rng(1).standard_normal(4096))
     params = SketchParams(epsilon=0.5, r=256)
@@ -407,6 +433,12 @@ def test_certified_solve_keeps_the_solved_x_past_the_rank_tolerance(kappa):
     assert certified.diagnostics.sigma_min == pytest.approx(1.0 / kappa, rel=1e-4)
     with pytest.raises(RankDeficient, match="singular-value"):
         condition_number(a)
+    monkeypatch.setattr(solver_mod, "_diagnostics", two_transform_diagnostics)
+    new = certified.diagnostics
+    old = sketch_solve_sampling(problem, params, 23, diagnostics=True).diagnostics
+    assert np.abs(new.sigma_xu / old.sigma_xu - 1.0).max() <= 10.0 * kappa * 2.0**-52
+    assert abs(new.cross_term / old.cross_term - 1.0) <= 10.0 * kappa * 2.0**-52
+    assert (new.embedding_ok, new.cross_term_ok) == (old.embedding_ok, old.cross_term_ok)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
@@ -430,6 +462,21 @@ def test_norms_survive_extreme_scales(frozen_projection_draw, gaussian_problem, 
     small = _params(r=16, k=16, q=0.3)
     assert not solve(gaussian_problem, small, 24, diagnostics=True).diagnostics.cross_term_ok
     assert not solve(scaled, small, 24, diagnostics=True).diagnostics.cross_term_ok
+
+
+@pytest.mark.parametrize("kappa, scale", [(1e10, 1e-300), (1e4, 1e-305), (1e4, 1e300)])
+@pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
+def test_sketched_xu_survives_extreme_scales(solve, kappa, scale):
+    # (U^T A)^-1 has norm kappa / sigma_max(A), ~1e310 at (1e10, 1e-300):
+    # X U = (X H D A)(U^T A)^-1 must be formed near scale 1, not at A's.
+    a, _ = known_spectrum_matrix(4096, 10, kappa, seed=8)
+    b = np.random.default_rng(8).standard_normal(4096)
+    params = _params(q=0.3)
+    plain = solve(LsProblem(a, b), params, 23, diagnostics=True).diagnostics
+    scaled = solve(LsProblem(a * scale, b * scale), params, 23, diagnostics=True).diagnostics
+    # Rounding A * scale moves A's small singular directions by ~kappa * u.
+    assert np.abs(scaled.sigma_xu / plain.sigma_xu - 1.0).max() <= 10.0 * kappa * 2.0**-52
+    assert (scaled.embedding_ok, scaled.cross_term_ok) == (plain.embedding_ok, plain.cross_term_ok)
 
 
 @pytest.fixture(params=["inline", "pooled"])
@@ -544,6 +591,13 @@ def test_both_methods_report_the_same_timings(gaussian_problem):
     projected = sketch_solve_projection(gaussian_problem, _params(), 22)
     phases = {"transform", "sketch-apply", "small-solve", "total"}
     assert set(sampled.timings) == set(projected.timings) == phases
+
+
+@pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
+def test_a_certified_solve_times_its_diagnostics(gaussian_problem, solve):
+    out = solve(gaussian_problem, _params(), 22, diagnostics=True)
+    assert set(out.timings) == {"transform", "sketch-apply", "small-solve", "diagnostics", "total"}
+    assert 0.0 < out.timings["diagnostics"] < out.timings["total"]
 
 
 def test_amplification_trials():
@@ -762,11 +816,11 @@ def _certificate_digest() -> str:
     return h.hexdigest()
 
 
-def test_certificate_bytes_pinned(householder_basis, householder_solve):
+def test_certificate_bytes_pinned(two_transform, householder_basis, householder_solve):
     assert _certificate_digest() == _PINNED_CERTIFICATE_DIGEST
 
 
-def test_certificate_bytes_pinned_on_cholesky_qr3(householder_solve):
+def test_certificate_bytes_pinned_on_cholesky_qr3(two_transform, householder_solve):
     assert _certificate_digest() == _PINNED_CHOLESKY_QR3_CERTIFICATE_DIGEST
 
 
@@ -782,12 +836,66 @@ _PINNED_STACKED_R_CHOLESKY_QR3_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_stacked_r(householder_basis):
+def test_certificate_bytes_pinned_on_the_stacked_r(two_transform, householder_basis):
     assert _certificate_digest() == _PINNED_STACKED_R_CERTIFICATE_DIGEST
 
 
-def test_certificate_bytes_pinned_on_cholesky_qr3_and_the_stacked_r():
+def test_certificate_bytes_pinned_on_cholesky_qr3_and_the_stacked_r(two_transform):
     assert _certificate_digest() == _PINNED_STACKED_R_CHOLESKY_QR3_CERTIFICATE_DIGEST
+
+
+# The four certificate digests above were computed when the diagnostics
+# transformed [U | b_perp] a second time (now `two_transform_diagnostics`).
+# Their twin pins X U = (X H D A)(U^T A)^-1 from the solve's own sketch, the
+# same at 1 and at 2 BLAS threads. Only sigma_xu and cross_term move: every
+# other Diagnostics byte, every residual_tilde and every flag is the one the
+# two-transform route gives.
+_PINNED_SKETCHED_XU_CERTIFICATE_DIGEST = (
+    "29c39d060e7b0e290106f740f73295e1ce39ab13c490b17a2e342dc1b1536441"
+)
+
+
+def test_certificate_bytes_pinned_on_the_solves_own_sketch():
+    assert _certificate_digest() == _PINNED_SKETCHED_XU_CERTIFICATE_DIGEST
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+@pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8, 1e10, 1e12, 2e12])
+def test_sketched_xu_matches_the_two_transform_certificate(monkeypatch, n, solve, kappa):
+    # Inverting U^T A amplifies rounding by kappa; each route also rounds
+    # the butterfly's log2(padded n) stages its own way, which is all that
+    # is left at kappa = 1. 2e12 lies past the rank tolerance; the test
+    # below goes on to 1e13 at n = 4096.
+    a, _ = known_spectrum_matrix(n, 10, kappa, seed=8)
+    problem = LsProblem(a, np.random.default_rng(8).standard_normal(n))
+    params = _params(q=0.3)
+    new = solve(problem, params, 23, diagnostics=True).diagnostics
+    monkeypatch.setattr(solver_mod, "_diagnostics", two_transform_diagnostics)
+    old = solve(problem, params, 23, diagnostics=True).diagnostics
+    tol = 10.0 * (kappa + math.log2(problem.stacked.shape[0])) * 2.0**-52
+    assert np.abs(new.sigma_xu / old.sigma_xu - 1.0).max() <= tol
+    assert abs(new.cross_term / old.cross_term - 1.0) <= tol
+    assert (new.embedding_ok, new.cross_term_ok) == (old.embedding_ok, old.cross_term_ok)
+    for name in ("z", "gamma", "kappa", "sigma_min"):
+        assert getattr(new, name) == getattr(old, name)
+
+
+@pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
+def test_a_certified_solve_transforms_the_problem_once(gaussian_problem, monkeypatch, solve):
+    # [A | b] once for the solve, then b_perp alone; U is never transformed.
+    widths = []
+    for name in ("partial_rht_rows", "apply_rht"):
+        real = getattr(solver_mod, name)
+
+        def counted(m, *args, _real=real, **kwargs):
+            widths.append(np.shape(m)[1])
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, name, counted)
+    solve(gaussian_problem, _params(q=0.3), 5, diagnostics=True)
+    assert sorted(widths) == [1, gaussian_problem.d + 1]
+
 
 # --- CGNR at extreme entry scales and degenerate shapes ---------------------
 
