@@ -187,7 +187,9 @@ def _cmd_verify(args) -> int:
             f"[{'PASS' if faster else 'FAIL'}] perf n={perf['n']} d={perf['d']} "
             f"r={perf['r']}: sampled median {perf['sketch_median_s']:.3f}s vs "
             f"exact median {perf['exact_median_s']:.3f}s (gelsd median "
-            f"{perf['gelsd_median_s']:.3f}s) over {perf['runs']} runs"
+            f"{perf['gelsd_median_s']:.3f}s) over {perf['runs']} runs; certified median "
+            f"{perf['certified_median_s']:.3f}s, "
+            f"{perf['certified_median_s'] / perf['sketch_median_s']:.2f}x sampled"
         )
     print(f"{passed}/{len(results)} ensembles at floor")
     if args.strict and (passed < len(results) or not faster):

@@ -84,7 +84,7 @@ class EnsembleResult:
 
 
 def _fixed_basis(n: int, d: int, base_seed: int) -> np.ndarray:
-    return orthonormal_basis(stream(base_seed, "ensemble/basis").standard_normal((n, d)))
+    return orthonormal_basis(stream(base_seed, "ensemble/basis").standard_normal((n, d))).q
 
 
 def _well_spread_unit(rng: np.random.Generator, n: int, cap: float) -> np.ndarray:
@@ -327,7 +327,8 @@ def perf_comparison(
     n: int = 2**17, d: int = 30, runs: int = 5, base_seed: int = 0
 ) -> dict:
     """Median wall time of the sampled pipeline vs. the exact solve, and
-    of LAPACK's gelsd (`np.linalg.lstsq`, numpy's OpenBLAS) in the same loop.
+    of the certified sampled pipeline (`diagnostics=True`) and LAPACK's
+    gelsd (`np.linalg.lstsq`, numpy's OpenBLAS) in the same loop.
 
     Informational: the asymptotic claims are not reproducible at desk
     scale, so this measures the one concrete comparison that is.
@@ -337,6 +338,9 @@ def perf_comparison(
     params = SketchParams.practical(n, d, 0.5)
     solves = {
         "sketch": lambda run: sketch_solve_sampling(problem, params, base_seed + run),
+        "certified": lambda run: sketch_solve_sampling(
+            problem, params, base_seed + run, diagnostics=True
+        ),
         "exact": lambda run: exact_outcome(problem),
         "gelsd": lambda run: np.linalg.lstsq(problem.a, problem.b, rcond=None),
     }

@@ -316,9 +316,14 @@ def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
         full = apply_rht(arr, d_signs)
         out = full[rows]
     else:
-        _require_finite(arr)
         work = arr * d_signs.signs[:, None]
-        out = _pruned_rows(work, wanted)
+        # Every output row is a +-1 sum of every input row, so a NaN or Inf
+        # anywhere in the input reaches the output: check the few rows out,
+        # and scan the input only to name the cause (inf - inf is NaN).
+        with np.errstate(invalid="ignore"):
+            out = _pruned_rows(work, wanted)
         out *= _scale(n)
+        if not np.isfinite(out).all():
+            _require_finite(arr)
         out = out[inverse]
     return out[:, 0] if was_vector else out

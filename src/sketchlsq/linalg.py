@@ -8,8 +8,11 @@ factorizations, each where it pays:
   - every least-squares solve takes x and the residual norm from the R of
     the stacked [M | v] alone (geqrf): no Q, no residual pass;
   - `qr_factor` forms Householder's Q, for `gen_problem`'s pinned bytes;
-  - `orthonormal_basis` is shifted CholeskyQR3: three BLAS-3 passes, 18 ms
-    against 44 ms for BLAS-2 Householder at 2^14 x 50 on a 2-vCPU VM.
+  - `orthonormal_basis` is CholeskyQR, BLAS-3 throughout, and returns R
+    too. Given the R of a sketch of its input it makes one pass after
+    A R_s^-1: 10-11 ms at 2^14 x 50 on a 2-vCPU VM, plus 5 ms for the R of
+    a 3461-row sketch. Otherwise it is shifted CholeskyQR3, three passes:
+    13-15 ms there, against 44 ms for BLAS-2 Householder.
 
 All functions are pure: inputs are validated (finite entries, compatible
 shapes) and never mutated, so concurrent calls on shared arrays are safe.
@@ -21,7 +24,8 @@ OpenBLAS with a thread pool of its own, and both kernels run serially in
 it, so that pool never wakes to contend with numpy's for the cores:
 
   - `solve_triangular`, the d x d back substitution of every
-    least-squares solve, which fixes the bytes of every solution;
+    least-squares solve, on R scaled by a power of two, which fixes the
+    bytes of every solution;
   - `norm`, BLAS nrm2 on vectors, a scaled sum of squares that neither
     overflows nor underflows at entry scales of 1e+-300 (`vector_norm`).
 
@@ -31,6 +35,7 @@ Both take vectors only: a matrix right-hand side wakes scipy's pool
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import norm, solve_triangular
@@ -40,6 +45,10 @@ from .errors import DimensionMismatch, InvalidSpec, RankDeficient
 # Relative floor on the R diagonal below which a matrix is treated as
 # rank deficient. Hard error by design: no pseudo-rank fallback.
 RANK_TOL = 1e-12
+
+# Largest kappa(C) of the one CholeskyQR pass after a sketch's R for which
+# U^T U = I holds to roundoff; a worse-conditioned pass falls back.
+_ONE_PASS_COND = 16.0
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -105,12 +114,17 @@ def _stacked_lstsq(mv: np.ndarray) -> tuple[np.ndarray, float]:
     """x and rho = min ||M x - v|| from the R of a validated [M | v] alone,
     [[R_M, Q^T v], [0, +-rho]] (Golub and Van Loan, Matrix Computations,
     5.3); rho = 0 for a square M. M's own reflectors come first, so the
-    rank test sees `qr_factor(M)`'s R diagonal. Overflow is InvalidSpec."""
+    rank test sees `qr_factor(M)`'s R diagonal. Overflow of x itself, or of
+    rho, is InvalidSpec."""
     d = mv.shape[1] - 1
     r = np.linalg.qr(mv, mode="r")
     _require_full_rank(np.diag(r)[:d])
+    # x is scale-free but R x is not: R ~ 1e300 times x ~ 1e10 overflows, so
+    # [R_M | Q^T v] is first scaled, exactly, by a power of two that takes
+    # R_M near 1.
     with np.errstate(over="ignore", invalid="ignore"):
-        x = solve_triangular(r[:d, :d], r[:d, d], lower=False, check_finite=False)
+        rs = np.ldexp(r[:d], -int(np.frexp(np.abs(r[:d, :d]).max())[1]))
+        x = solve_triangular(rs[:, :d], rs[:, d], lower=False, check_finite=False)
     rho = abs(float(r[d, d])) if r.shape[0] > d else 0.0
     if not (np.isfinite(x).all() and np.isfinite(rho)):
         raise InvalidSpec("the least-squares solve overflowed float64; scale A and b toward 1")
@@ -122,7 +136,7 @@ def solve_exact_ls(a, b) -> np.ndarray:
 
     Of the module's three factorizations this is the R of [a | b], which
     holds Q^T b, so no Q is formed; Householder's Q stays for `gen_problem`'s
-    pinned bytes, CholeskyQR3 for the diagnostics' BLAS-3 basis. Raises
+    pinned bytes, CholeskyQR for the diagnostics' BLAS-3 basis. Raises
     RankDeficient as `qr_factor`, InvalidSpec on a float64 overflow.
     """
     a = _as_tall(a)
@@ -132,34 +146,83 @@ def solve_exact_ls(a, b) -> np.ndarray:
     return _stacked_lstsq(np.column_stack([a, b]))[0]
 
 
-def orthonormal_basis(a) -> np.ndarray:
-    """Orthonormal basis of range(a) as an (n, d) matrix, by shifted
-    CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and Yanagisawa,
-    SISC 2020) on a scaled exactly by a power of two to a largest entry in
-    [1/2, 1), so the Gram products stay in range at any entry scale. Pass 1
-    factors Q^T Q + s I, s = 11 (nd + d(d+1)) 2^-53 ||Q||_F^2, which holds
-    up to kappa ~ 1e15; passes 2 and 3 are plain CholeskyQR.
+def _cholesky_pass(q: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """One CholeskyQR pass, q = (q C^-1) C with C^T C = q^T q + shift
+    tr(q^T q) I. LinAlgError when the Cholesky factor fails."""
+    g = q.T @ q
+    if not np.isfinite(g).all():
+        raise np.linalg.LinAlgError("the Gram matrix is not finite")
+    g[np.diag_indices(g.shape[0])] += shift * np.trace(g)
+    c = np.linalg.cholesky(g).T
+    return q @ np.linalg.inv(c), c
+
+
+def _preconditioned_pass(a: np.ndarray, r_s: np.ndarray) -> Optional[QrFactors]:
+    """a = U C r_s by one CholeskyQR pass on a r_s^-1, or None when one pass
+    cannot give U^T U = I to roundoff: r_s is singular, the Cholesky factor
+    fails, or kappa(C) > 16 (one pass leaves U^T U - I at about
+    kappa(C)^2 u)."""
+    # Past 2^+-64, a and r_s are first scaled by one power of two, which is
+    # exact, so r_s^-1 stays in range; at ordinary scales that pass over a
+    # would change no byte.
+    e = int(np.frexp(np.abs(r_s).max())[1])
+    a_e, r_e = (np.ldexp(a, -e), np.ldexp(r_s, -e)) if abs(e) > 64 else (a, r_s)
+    try:
+        # A nearly singular or far-off r_s overflows here, and the pass
+        # fails on a Gram matrix that is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, c = _cholesky_pass(a_e @ np.linalg.inv(r_e))
+    except np.linalg.LinAlgError:
+        return None
+    if np.linalg.cond(c) > _ONE_PASS_COND:
+        return None
+    return QrFactors(u, c @ r_s)
+
+
+def orthonormal_basis(a, r_s=None) -> QrFactors:
+    """Thin QR factors a = U R by CholeskyQR, U an orthonormal basis of
+    range(a), R upper triangular with a nonnegative diagonal.
+
+    `r_s` is the R factor of a sketch X a (d x d; its rows are signed here
+    so the diagonal is nonnegative). A sketch that embeds range(a) makes
+    a r_s^-1 nearly orthonormal, so that is pass 1 and one plain pass
+    finishes it, R = C r_s: randomized CholeskyQR (Balabanov 2022; Garrison
+    and Ipsen 2024). Without `r_s`, or when that pass fails because the
+    sketch embeds range(a) badly or not at all, it is shifted CholeskyQR3
+    (Fukaya, Kannan, Nakatsukasa, Yamamoto and Yanagisawa, SISC 2020),
+    R = C3 C2 C1: pass 1 factors Q^T Q + s I, s = 11 (nd + d(d+1)) 2^-53
+    ||Q||_F^2, which holds up to kappa ~ 1e15; passes 2 and 3 are plain
+    CholeskyQR. Either route works on a scaled exactly by a power of two
+    where needed, so the products stay in range at any entry scale.
 
     Any orthonormal basis of the column space is equivalent for the
     structural-condition diagnostics: a rotation U -> U Q leaves both the
     singular values of X U and ||(X U)^T v|| unchanged. RankDeficient when a
-    Cholesky factor fails, or R = R3 R2 R1 fails `qr_factor`'s diagonal test.
+    Cholesky factor of shifted CholeskyQR3 fails, or R fails `qr_factor`'s
+    diagonal test; DimensionMismatch unless `r_s` is d x d.
     """
     a = _as_tall(a)
     n, d = a.shape
-    q = np.ldexp(a, -int(np.frexp(np.abs(a).max())[1]))
-    diag = np.ones(d)
+    if r_s is not None:
+        r_s = as_matrix(r_s, "R_s")
+        if r_s.shape != (d, d):
+            raise DimensionMismatch(f"R_s must be {d} x {d}, got {r_s.shape[0]} x {r_s.shape[1]}")
+        r_s = np.triu(np.where(np.diag(r_s) < 0.0, -1.0, 1.0)[:, None] * r_s)
+        factors = _preconditioned_pass(a, r_s)
+        if factors is not None:
+            _require_full_rank(np.diag(factors.r))
+            return factors
+    e = int(np.frexp(np.abs(a).max())[1])
+    q = np.ldexp(a, -e)
+    r = np.eye(d)
     for shift in (11 * (n * d + d * (d + 1)) * 2.0**-53, 0.0, 0.0):
-        g = q.T @ q
-        g[np.diag_indices(d)] += shift * np.trace(g)
         try:
-            c = np.linalg.cholesky(g).T
+            q, c = _cholesky_pass(q, shift)
         except np.linalg.LinAlgError:
             raise RankDeficient("Cholesky factor of the Gram matrix failed") from None
-        q = q @ np.linalg.inv(c)
-        diag *= np.diag(c)
-    _require_full_rank(diag)
-    return q
+        r = c @ r
+    _require_full_rank(np.diag(r))
+    return QrFactors(q, np.ldexp(r, e))
 
 
 def gram_singular_values(m) -> np.ndarray:

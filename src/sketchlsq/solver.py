@@ -25,9 +25,11 @@ make the small solution a relative-error approximation of the full one:
 
 where U is an orthonormal basis of range(A), b_perp the out-of-range part
 of b, and Z the optimal residual. When both hold, the residual and
-forward-error bounds follow deterministically. X U = (X H D A)(U^T A)^-1
-comes from the sketch the solve already holds, with relative accuracy
-about kappa(A) times the unit roundoff; only b_perp is transformed again.
+forward-error bounds follow deterministically. Both are read off the
+sketch the solve already holds: X A = Q_s R_s, A = U R from one CholeskyQR
+pass on A R_s^-1, and X U = Q_s (R_s R^-1), whose d x d factor R_s R^-1
+has the singular values of X U, with relative accuracy about kappa(A)
+times the unit roundoff; only b_perp is transformed again.
 
 Keep every hadamard, sketches and linalg call a lookup of this module's
 globals at call time: the benchmark's spans and the tests wrap or replace
@@ -137,17 +139,18 @@ class ConditionCheck:
 class Diagnostics:
     """Embedding spectrum, cross term, and problem geometry for one solve.
 
-    `sigma_xu` and `cross_term` take X U = (X H D A)(U^T A)^-1 from the
-    solve's own sketch, so they carry a relative error of about kappa(A)
+    `sigma_xu` and `cross_term` come from the solve's own sketch X A =
+    Q_s R_s: X U = Q_s (R_s R^-1), R the R factor of A = U R, so they are
+    read off the d x d R_s R^-1 and carry a relative error of about kappa(A)
     times the unit roundoff (~2e-4 at kappa = 1e12, ~2e-3 at 1e13); X b_perp
     is a transform of b_perp itself. Past kappa ~ 1e12 a flag whose value
     lies within that fraction of its threshold may differ from the exact
     one. `cross_term` is the squared norm ||(X U)^T X b_perp||^2, so it
     overflows to inf once entries exceed ~1e154; `cross_term_ok` compares
     norms and stays exact at any scale.
-    `kappa` and `sigma_min` are A's, from one SVD of the d x d matrix
-    U^T A, ready for `predicted_error_bounds`; the solve has judged the
-    rank, so `kappa` is not retested and can exceed 1e12.
+    `kappa` and `sigma_min` are A's, from one SVD of the d x d matrix R,
+    ready for `predicted_error_bounds`; the solve has judged the rank, so
+    `kappa` is not retested and can exceed 1e12.
     """
 
     sigma_xu: np.ndarray
@@ -193,7 +196,8 @@ def gamma_fraction(u, b) -> float:
 def verify_conditions(xu, xbperp, z: float, eps: float) -> ConditionCheck:
     """Measure the embedding and cross-term conditions from the sketched
     basis X U and the sketched out-of-range component X b_perp, for eps
-    in (0, 1)."""
+    in (0, 1). Both rotated onto range(X A), Q_s^T X U and Q_s^T X b_perp,
+    give the same conditions from d rows."""
     xu = as_matrix(xu, "XU")
     xbperp = as_vector(xbperp, "Xb_perp")
     if xu.shape[0] != xbperp.shape[0]:
@@ -343,30 +347,36 @@ def _diagnostics(
 ) -> Diagnostics:
     """Certify the draw (d_signs, op) whose sketch of [A | b] is `sketched`.
 
-    A = U (U^T A), so X U = (X H D A)(U^T A)^-1 comes from the solve's own
-    sketch, accurate to about kappa(A) times the unit roundoff. b_perp gets
-    a transform of its own: X b - (X U)(U^T b) would cancel when Z << ||b||,
-    and bias the cross-term check toward passing.
+    X A = Q_s R_s, and R_s preconditions the basis: A = U R from one
+    CholeskyQR pass on A R_s^-1. Then X U = X A R^-1 = Q_s F with
+    F = R_s R^-1, and (X U)^T X b_perp = F^T w with w = Q_s^T X b_perp =
+    R_s^-T (X A)^T X b_perp, so both conditions are read off d x d factors
+    and A's spectrum is R's. b_perp gets a transform of its own: X b -
+    (X U)(U^T b) would cancel when Z << ||b||, and bias the cross-term
+    check toward passing.
     """
     a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
-    u = orthonormal_basis(a_pad)
-    bperp = project_out(u, b_pad)
+    xa = sketched[:, :-1]
+    r_s = np.linalg.qr(xa, mode="r")
+    basis = orthonormal_basis(a_pad, r_s)
+    bperp = project_out(basis.q, b_pad)
     z = vector_norm(bperp)
-    uta = u.T @ a_pad
     # One 2-D column: the benchmark's spans read (n, cols) off every
     # transform's input.
     xbperp = _apply(op, _transform(op, bperp[:, None], d_signs))[:, 0]
-    # (U^T A)^-1 has norm 1/sigma_min(A), which overflows for small data, so
-    # both factors are first scaled, exactly, by one power of two that takes
-    # U^T A near 1; X U itself is O(1).
-    e = -int(np.frexp(np.abs(uta).max())[1])
-    xu = np.ldexp(sketched[:, :-1], e) @ np.linalg.inv(np.ldexp(uta, e))
-    check = verify_conditions(xu, xbperp, z, eps)
-    # A has the singular values of U^T A, a d x d matrix.
-    sv = gram_singular_values(uta)
+    # R^-1 and R_s^-1 have norm about kappa / sigma_max(A), which overflows
+    # for small data, so R, R_s and X A are first scaled, exactly, by one
+    # power of two that takes R near 1, and X b_perp by one of its own.
+    e = -int(np.frexp(np.abs(basis.r).max())[1])
+    e_b = -int(np.frexp(np.abs(xbperp).max())[1])
+    r_s = np.ldexp(r_s, e)
+    f = r_s @ np.linalg.inv(np.ldexp(basis.r, e))
+    w = np.linalg.inv(r_s).T @ (np.ldexp(xa, e).T @ np.ldexp(xbperp, e_b))
+    check = verify_conditions(f, np.ldexp(w, -e_b), z, eps)
+    sv = gram_singular_values(basis.r)
     return Diagnostics(
         z=z,
-        gamma=gamma_fraction(u, b_pad),
+        gamma=gamma_fraction(basis.q, b_pad),
         kappa=float(sv[0] / sv[-1]),
         sigma_min=float(sv[-1]),
         **vars(check),
@@ -447,13 +457,20 @@ def _sketch_solve(
 
 
 def _residual_norm(problem: LsProblem, x: np.ndarray) -> float:
-    """||A x - b|| by nrm2; InvalidSpec when A x - b itself overflows
-    float64, as it can for entries near the limit even with a finite x."""
+    """||A x - b|| by nrm2. When A x - b overflows float64, as A ~ 1e300
+    times x ~ 1e10 does, it is formed again from A and b scaled exactly by
+    one power of two that takes A near 1; InvalidSpec when that overflows
+    too, or the norm itself is out of range."""
+    e = 0
     with np.errstate(over="ignore", invalid="ignore"):
         r = problem.a @ x - problem.b
-    if not np.isfinite(r).all():
+        if not np.isfinite(r).all():
+            e = int(np.frexp(np.abs(problem.a).max())[1])
+            r = np.ldexp(problem.a, -e) @ x - np.ldexp(problem.b, -e)
+        norm = float(np.ldexp(vector_norm(r), e)) if np.isfinite(r).all() else math.inf
+    if not math.isfinite(norm):
         raise InvalidSpec("the residual A x - b overflowed float64; scale A and b toward 1")
-    return vector_norm(r)
+    return norm
 
 
 def check_sketch_size(method: str, params: SketchParams, d: int):
@@ -548,8 +565,10 @@ def sketch_solve_best_of(
     """Run m independent trials of `method` and keep the one with the
     smallest true residual (ties broken by lowest trial index). Each trial
     draws from its own derived stream, so the whole bundle is reproducible
-    from one seed. The table below is the one place a method name picks its
-    pipeline; "cgnr" is sampling with CGNR as the small solver."""
+    from one seed. With `diagnostics=True` only the kept trial is
+    certified, by running it again. The table below is the one place a
+    method name picks its pipeline; "cgnr" is sampling with CGNR as the
+    small solver."""
     if check_integer(m, "m") < 1:
         raise InvalidSpec(f"need m >= 1, got {m}")
     pipeline = {
@@ -562,12 +581,18 @@ def sketch_solve_best_of(
     if m == 1:
         return pipeline(problem, params, seed, **kwargs)
     prefix = kwargs.pop("stream_prefix", "")
+    diagnostics = kwargs.pop("diagnostics", False)
     outcomes = [
         pipeline(problem, params, seed, stream_prefix=f"{prefix}bestof{t}/", **kwargs)
         for t in range(m)
     ]
     best = min(range(m), key=lambda t: outcomes[t].residual_tilde)
-    return outcomes[best]
+    if not diagnostics:
+        return outcomes[best]
+    # Only the kept trial is certified: the same draw again, on its own
+    # streams, so x and the residual are the ones that won.
+    return pipeline(problem, params, seed, stream_prefix=f"{prefix}bestof{best}/",
+                    diagnostics=True, **kwargs)
 
 
 def exact_outcome(problem: LsProblem) -> tuple[np.ndarray, float]:

@@ -11,6 +11,7 @@ from oracles import (
     householder_exact_outcome,
     householder_orthonormal_basis,
     householder_solve_exact_ls,
+    sketched_xu_diagnostics,
     two_transform_diagnostics,
 )
 
@@ -48,3 +49,11 @@ def two_transform(monkeypatch):
     from the solve's own sketch, so that digests taken on it keep their
     meaning."""
     monkeypatch.setattr(solver, "_diagnostics", two_transform_diagnostics)
+
+
+@pytest.fixture
+def sketched_xu(monkeypatch):
+    """Make every certificate the one it was before the basis was
+    preconditioned by the sketch's R, X U = (X H D A)(U^T A)^-1, so that
+    digests taken on it keep their meaning."""
+    monkeypatch.setattr(solver, "_diagnostics", sketched_xu_diagnostics)

@@ -7,7 +7,8 @@ around a known singular spectrum, triple-loop products for sparse
 operators, the plain stage-by-stage Hadamard butterfly, the triplet
 sparse-projection draws and product, the per-pair moment-bound loop, and
 the frozen projection draw, Householder basis, Householder least-squares
-solve and two-transform diagnostics that pinned digests were taken with.
+solve, two-transform diagnostics and sketched-XU diagnostics that pinned
+digests were taken with.
 """
 
 import math
@@ -210,11 +211,11 @@ def frozen_sparse_projection(k, n, q, seed, label="sparse-projection"):
     )
 
 
-def householder_orthonormal_basis(a):
-    """The diagnostics' basis as it was before shifted CholeskyQR3: the Q
-    of Householder QR with a nonnegative R diagonal. The certificate
-    digests taken before the re-roll hold on it."""
-    return qr_factor(a).q
+def householder_orthonormal_basis(a, r_s=None):
+    """The diagnostics' basis as it was before shifted CholeskyQR3:
+    Householder QR with a nonnegative R diagonal, ignoring the sketch's
+    `r_s`. The certificate digests taken before the re-roll hold on it."""
+    return qr_factor(a)
 
 
 def householder_solve_exact_ls(a, b):
@@ -248,12 +249,36 @@ def two_transform_diagnostics(problem, d_signs, op, sketched, eps):
     fixture reaches it. The certificate digests taken before the re-roll
     hold on it."""
     a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
-    u = solver.orthonormal_basis(a_pad)
+    u = solver.orthonormal_basis(a_pad).q
     bperp = project_out(u, b_pad)
     z = vector_norm(bperp)
     both = solver._apply(op, solver._transform(op, np.column_stack([u, bperp]), d_signs))
     check = solver.verify_conditions(both[:, :-1], both[:, -1], z, eps)
     sv = gram_singular_values(u.T @ a_pad)
+    return solver.Diagnostics(
+        z=z,
+        gamma=solver.gamma_fraction(u, b_pad),
+        kappa=float(sv[0] / sv[-1]),
+        sigma_min=float(sv[-1]),
+        **vars(check),
+    )
+
+
+def sketched_xu_diagnostics(problem, d_signs, op, sketched, eps):
+    """The diagnostics as they were before the basis was preconditioned by
+    the sketch's R: the basis from A alone, X U = (X H D A)(U^T A)^-1 from
+    the solve's own sketch, and kappa and sigma_min from the d x d U^T A.
+    The certificate digest taken before the re-roll holds on it."""
+    a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
+    u = solver.orthonormal_basis(a_pad).q
+    bperp = project_out(u, b_pad)
+    z = vector_norm(bperp)
+    uta = u.T @ a_pad
+    xbperp = solver._apply(op, solver._transform(op, bperp[:, None], d_signs))[:, 0]
+    e = -int(np.frexp(np.abs(uta).max())[1])
+    xu = np.ldexp(sketched[:, :-1], e) @ np.linalg.inv(np.ldexp(uta, e))
+    check = solver.verify_conditions(xu, xbperp, z, eps)
+    sv = gram_singular_values(uta)
     return solver.Diagnostics(
         z=z,
         gamma=solver.gamma_fraction(u, b_pad),

@@ -176,3 +176,10 @@ def test_verify_prints_each_ensemble_time_and_gelsd(monkeypatch, capsys):
     assert len(ensemble_lines) == 11
     assert all(re.search(r" time=\d+\.\d{3}s$", line) for line in ensemble_lines)
     assert f"(gelsd median {perf['gelsd_median_s']:.3f}s)" in lines[-2]
+    # The certified solve's cost next to the bare one: ROADMAP item 3 asks
+    # for at most 2x.
+    assert len(perf["certified_times"]) == 2
+    ratio = perf["certified_median_s"] / perf["sketch_median_s"]
+    assert lines[-2].endswith(
+        f"certified median {perf['certified_median_s']:.3f}s, {ratio:.2f}x sampled"
+    )

@@ -61,6 +61,29 @@ def test_every_transform_rejects_non_finite_input_with_a_typed_error(bad):
             partial_rht_rows(x, signs, rows)
 
 
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+def test_pruned_rows_scan_the_input_only_when_the_output_is_not_finite(monkeypatch, bad):
+    # Each output row sums every input row, so the r rows out show a NaN or
+    # Inf anywhere in the input; only then is the input scanned, to name it.
+    x = np.ones((256, 2))
+    scans = []
+    real = hadamard._require_finite
+
+    def counted(arr):
+        scans.append(arr.shape)
+        real(arr)
+
+    monkeypatch.setattr(hadamard, "_require_finite", counted)
+    if bad is None:
+        partial_rht_rows(x, sample_signs(256, 0), [3, 200])
+        assert scans == []
+        return
+    x[100, 0] = x[7, 0] = bad  # inf - inf becomes NaN, without a warning
+    with pytest.raises(InvalidSpec, match="NaN or Inf"):
+        partial_rht_rows(x, sample_signs(256, 0), [3, 200])
+    assert scans == [(256, 2)]
+
+
 def test_fwht_matrix_matches_columns():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((64, 3))

@@ -9,6 +9,7 @@ import scipy.linalg
 import sketchlsq
 import sketchlsq.linalg as linalg
 from sketchlsq.errors import DimensionMismatch, InvalidSpec, RankDeficient
+from sketchlsq.hadamard import next_pow2, partial_rht_rows, sample_signs
 from sketchlsq.linalg import (
     as_matrix,
     as_vector,
@@ -21,7 +22,7 @@ from sketchlsq.linalg import (
     spectral_norm_sym,
 )
 from sketchlsq.problems import KIND_ILL_CONDITIONED, ProblemSpec, gen_problem
-from sketchlsq.sketches import SketchParams
+from sketchlsq.sketches import SketchParams, draw_sampling_plan
 from sketchlsq.solver import (
     LsProblem,
     exact_outcome,
@@ -170,7 +171,7 @@ def test_least_squares_forms_no_q(monkeypatch):
 
 def test_orthonormal_basis_axis_aligned():
     a = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-    u = orthonormal_basis(a)
+    u = orthonormal_basis(a).q
     assert np.abs(u.T @ u - np.eye(2)).max() <= 1e-14
     assert np.abs(np.abs(u[:2, :2]) - np.eye(2)).max() <= 1e-14
     assert np.abs(u[2]).max() <= 1e-14
@@ -179,7 +180,7 @@ def test_orthonormal_basis_axis_aligned():
 def test_orthonormal_basis_spans_range():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((64, 4))
-    u = orthonormal_basis(a)
+    u = orthonormal_basis(a).q
     assert np.abs(u.T @ u - np.eye(4)).max() <= 1e-10
     assert np.linalg.norm(a - u @ (u.T @ a)) <= 1e-8 * np.linalg.norm(a)
 
@@ -191,7 +192,7 @@ def test_orthonormal_basis_is_orthonormal_to_roundoff(n, kappa):
     # and U^T A keeps A's spectrum: kappa read 1.2e-7 off at 1e10, where
     # Householder's Q read 3.5e-8 off (n as here, seeds 0-2).
     a, _ = known_spectrum_matrix(n, 10, kappa, seed=0)
-    u = orthonormal_basis(a)
+    u = orthonormal_basis(a).q
     assert np.linalg.norm(u.T @ u - np.eye(10), 2) <= 1e-15
     sv = gram_singular_values(u.T @ a)
     assert sv[0] / sv[-1] == pytest.approx(kappa, rel=1e-6 if kappa <= 1e10 else 1e-4)
@@ -201,7 +202,7 @@ def test_orthonormal_basis_is_orthonormal_to_roundoff(n, kappa):
 def test_orthonormal_basis_at_extreme_scales(scale):
     # An exact power-of-two rescale keeps the Gram products in range.
     a = np.random.default_rng(41).standard_normal((4096, 50))
-    u = orthonormal_basis(a * scale)
+    u = orthonormal_basis(a * scale).q
     assert np.linalg.norm(u.T @ u - np.eye(50), 2) <= 1e-15
     assert np.linalg.norm(a - u @ (u.T @ a)) <= 1e-13 * np.linalg.norm(a)
 
@@ -219,13 +220,78 @@ def test_orthonormal_basis_rank_deficient(a):
         orthonormal_basis(a)
 
 
+def _sketch_r(a, seed):
+    """R factor of a sampled randomized Hadamard sketch of a, 256 rows."""
+    padded = np.zeros((next_pow2(a.shape[0]), a.shape[1]))
+    padded[: a.shape[0]] = a
+    n = padded.shape[0]
+    plan = draw_sampling_plan(n, 256, seed)
+    xa = partial_rht_rows(padded, sample_signs(n, seed), plan.indices) * plan.scale
+    return np.linalg.qr(xa, mode="r")
+
+
+@pytest.mark.parametrize("n", [2**12, 2**12 + 1])
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8, 1e12])
+def test_orthonormal_basis_from_a_sketchs_r(monkeypatch, n, kappa):
+    # A R_s^-1 is nearly orthonormal, so one CholeskyQR pass finishes the
+    # basis, and A = U (C R_s) with a nonnegative diagonal. Measured on
+    # seeds 0-2: U^T U - I at most 9.2e-16 and A - U R at most 1.5e-15
+    # (2-norm, relative).
+    a, _ = known_spectrum_matrix(n, 10, kappa, seed=0)
+    passes = []
+    real = linalg._cholesky_pass
+
+    def counted(q, shift=0.0):
+        passes.append(shift)
+        return real(q, shift)
+
+    monkeypatch.setattr(linalg, "_cholesky_pass", counted)
+    f = orthonormal_basis(a, _sketch_r(a, seed=1))
+    assert passes == [0.0]
+    assert np.linalg.norm(f.q.T @ f.q - np.eye(10), 2) <= 4e-15
+    assert np.linalg.norm(a - f.q @ f.r, 2) <= 4e-15 * np.linalg.norm(a, 2)
+    assert (np.diag(f.r) > 0.0).all() and not np.tril(f.r, -1).any()
+
+
+@pytest.mark.parametrize("sign_rows", [[0, 3], [9]])
+def test_orthonormal_basis_signs_the_sketchs_r(sign_rows):
+    # Any row signs of R_s give the same factors: the diagonal is made
+    # nonnegative first.
+    a, _ = known_spectrum_matrix(2**12, 10, 1e4, seed=2)
+    r_s = _sketch_r(a, seed=3)
+    flipped = r_s.copy()
+    flipped[sign_rows] *= -1.0
+    plain, signed = orthonormal_basis(a, r_s), orthonormal_basis(a, flipped)
+    assert np.array_equal(plain.q, signed.q) and np.array_equal(plain.r, signed.r)
+
+
+def test_orthonormal_basis_falls_back_when_the_sketch_does_not_embed():
+    # An R_s of an unrelated kappa = 1e12 matrix leaves A R_s^-1 too ill
+    # conditioned for one pass: the result is shifted CholeskyQR3's, byte
+    # for byte.
+    a, _ = known_spectrum_matrix(2**12, 10, 1e4, seed=4)
+    unrelated, _ = known_spectrum_matrix(2**12, 10, 1e12, seed=5)
+    f = orthonormal_basis(a, np.linalg.qr(unrelated, mode="r"))
+    assert np.linalg.norm(f.q.T @ f.q - np.eye(10), 2) <= 1e-15
+    assert np.linalg.norm(a - f.q @ f.r, 2) <= 1e-15 * np.linalg.norm(a, 2)
+    plain = orthonormal_basis(a)
+    assert np.array_equal(f.q, plain.q) and np.array_equal(f.r, plain.r)
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (10, 9), (9, 10)])
+def test_orthonormal_basis_rejects_a_misshapen_sketch_r(shape):
+    a = np.random.default_rng(6).standard_normal((64, 10))
+    with pytest.raises(DimensionMismatch, match="R_s"):
+        orthonormal_basis(a, np.eye(*shape))
+
+
 def test_gram_singular_values_diagonal():
     m = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(gram_singular_values(m), [3.0, 1.0], atol=1e-12)
 
 
 def test_gram_singular_values_isometry():
-    u = orthonormal_basis(np.random.default_rng(3).standard_normal((40, 6)))
+    u = orthonormal_basis(np.random.default_rng(3).standard_normal((40, 6))).q
     assert np.abs(gram_singular_values(u) - 1.0).max() <= 1e-8
 
 
@@ -333,7 +399,7 @@ def test_spectral_norm_small_eigengap_oracle():
     # Known spectrum in a random orthonormal basis, with the top two
     # eigenvalues 1% apart: an iteration stopped on a small step change
     # reports well under 1 here.
-    q = orthonormal_basis(np.random.default_rng(21).standard_normal((8, 8)))
+    q = orthonormal_basis(np.random.default_rng(21).standard_normal((8, 8))).q
     eigenvalues = np.array([1.0, -0.99, 0.9, 0.5, 0.3, -0.2, 0.1, 0.0])
     m = (q * eigenvalues) @ q.T
     m = (m + m.T) / 2.0
@@ -347,7 +413,7 @@ def test_spectral_norm_requires_symmetry():
 
 
 def test_project_out_in_span():
-    u = orthonormal_basis(np.random.default_rng(5).standard_normal((30, 3)))
+    u = orthonormal_basis(np.random.default_rng(5).standard_normal((30, 3))).q
     b = u @ np.array([1.0, -2.0, 0.5])
     assert np.linalg.norm(project_out(u, b)) <= 1e-10 * np.linalg.norm(b)
 
@@ -359,7 +425,7 @@ def test_project_out_coordinate():
 
 def test_project_out_pythagoras():
     rng = np.random.default_rng(23)
-    u = orthonormal_basis(rng.standard_normal((50, 5)))
+    u = orthonormal_basis(rng.standard_normal((50, 5))).q
     b = rng.standard_normal(50)
     perp = project_out(u, b)
     total = np.linalg.norm(u.T @ b) ** 2 + np.linalg.norm(perp) ** 2
@@ -368,7 +434,7 @@ def test_project_out_pythagoras():
 
 def test_project_out_idempotent():
     rng = np.random.default_rng(29)
-    u = orthonormal_basis(rng.standard_normal((40, 4)))
+    u = orthonormal_basis(rng.standard_normal((40, 4))).q
     b = rng.standard_normal(40)
     once = project_out(u, b)
     twice = project_out(u, once)
@@ -376,7 +442,7 @@ def test_project_out_idempotent():
 
 
 def test_condition_number_orthonormal():
-    u = orthonormal_basis(np.random.default_rng(31).standard_normal((32, 4)))
+    u = orthonormal_basis(np.random.default_rng(31).standard_normal((32, 4))).q
     assert condition_number(u) == pytest.approx(1.0, abs=1e-8)
 
 

@@ -28,7 +28,7 @@ def test_kappa_target(kind):
 def test_gamma_target(kind):
     spec = ProblemSpec(kind=kind, n=256, d=6, kappa=5.0, gamma=0.6, seed=3)
     problem = gen_problem(spec)
-    u = orthonormal_basis(problem.a)
+    u = orthonormal_basis(problem.a).q
     assert gamma_fraction(u, problem.b) == pytest.approx(0.6, abs=1e-6)
 
 
@@ -50,8 +50,8 @@ def test_kappa_one_flat_spectrum():
 def test_coherent_kind_concentrates_leverage():
     spec_c = ProblemSpec(kind=KIND_COHERENT, n=512, d=8, kappa=5.0, gamma=0.9, seed=6)
     spec_g = ProblemSpec(kind=KIND_GAUSSIAN, n=512, d=8, kappa=5.0, gamma=0.9, seed=6)
-    u_c = orthonormal_basis(gen_problem(spec_c).a)
-    u_g = orthonormal_basis(gen_problem(spec_g).a)
+    u_c = orthonormal_basis(gen_problem(spec_c).a).q
+    u_g = orthonormal_basis(gen_problem(spec_g).a).q
     max_row_c = (u_c**2).sum(axis=1).max()
     max_row_g = (u_g**2).sum(axis=1).max()
     assert max_row_c > 0.9  # nearly a full coordinate direction

@@ -49,7 +49,7 @@ from sketchlsq.solver import (
     sketch_solve_sampling,
     verify_conditions,
 )
-from oracles import known_spectrum_matrix, two_transform_diagnostics
+from oracles import known_spectrum_matrix, sketched_xu_diagnostics, two_transform_diagnostics
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +198,7 @@ def test_projection_full_size_residual_floor(gaussian_problem):
 
 def test_verify_conditions_identity_sketch():
     rng = np.random.default_rng(2)
-    u = orthonormal_basis(rng.standard_normal((64, 4)))
+    u = orthonormal_basis(rng.standard_normal((64, 4))).q
     b = rng.standard_normal(64)
     bperp = project_out(u, b)
     z = float(np.linalg.norm(bperp))
@@ -234,7 +234,7 @@ def test_verify_conditions_z_zero_boundary():
 
 def test_gamma_fraction_cases():
     rng = np.random.default_rng(3)
-    u = orthonormal_basis(rng.standard_normal((32, 3)))
+    u = orthonormal_basis(rng.standard_normal((32, 3))).q
     inside = u @ np.array([1.0, 2.0, -1.0])
     assert gamma_fraction(u, inside) == pytest.approx(1.0, abs=1e-12)
     outside = project_out(u, rng.standard_normal(32))
@@ -243,7 +243,7 @@ def test_gamma_fraction_cases():
 
 def test_gamma_fraction_three_four_five():
     rng = np.random.default_rng(4)
-    u = orthonormal_basis(rng.standard_normal((32, 3)))
+    u = orthonormal_basis(rng.standard_normal((32, 3))).q
     inside = u @ rng.standard_normal(3)
     inside *= 3.0 / np.linalg.norm(inside)
     w = project_out(u, rng.standard_normal(32))
@@ -302,7 +302,7 @@ def test_predicted_bounds_reject_nan_and_out_of_range_arguments(name, value):
 
 def test_cgnr_orthonormal_single_step():
     rng = np.random.default_rng(6)
-    m = orthonormal_basis(rng.standard_normal((50, 5)))
+    m = orthonormal_basis(rng.standard_normal((50, 5))).q
     v = rng.standard_normal(50)
     x = cgnr_solve(m, v, tol=1e-12, max_iter=5)
     assert np.allclose(x, m.T @ v, atol=1e-10)
@@ -319,7 +319,7 @@ def test_cgnr_matches_qr():
 
 def test_cgnr_orthogonal_rhs():
     rng = np.random.default_rng(8)
-    m = orthonormal_basis(rng.standard_normal((40, 3)))
+    m = orthonormal_basis(rng.standard_normal((40, 3))).q
     v = project_out(m, rng.standard_normal(40))
     x = cgnr_solve(m, v, tol=1e-10)
     assert np.abs(x).max() <= 1e-10
@@ -384,7 +384,7 @@ def test_scaling_equivariance_in_a(gaussian_problem):
 
 
 def test_tangent_identity(gaussian_problem):
-    u = orthonormal_basis(gaussian_problem.a)
+    u = orthonormal_basis(gaussian_problem.a).q
     gamma = gamma_fraction(u, gaussian_problem.b)
     _, z = exact_outcome(gaussian_problem)
     bnorm = np.linalg.norm(gaussian_problem.b)
@@ -855,14 +855,15 @@ _PINNED_SKETCHED_XU_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_solves_own_sketch():
+def test_certificate_bytes_pinned_on_the_solves_own_sketch(sketched_xu):
     assert _certificate_digest() == _PINNED_SKETCHED_XU_CERTIFICATE_DIGEST
 
 
 @pytest.mark.parametrize("n", [4096, 4097])
 @pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
 @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8, 1e10, 1e12, 2e12])
-def test_sketched_xu_matches_the_two_transform_certificate(monkeypatch, n, solve, kappa):
+def test_sketched_xu_matches_the_two_transform_certificate(sketched_xu, monkeypatch, n, solve,
+                                                          kappa):
     # Inverting U^T A amplifies rounding by kappa; each route also rounds
     # the butterfly's log2(padded n) stages its own way, which is all that
     # is left at kappa = 1. 2e12 lies past the rank tolerance; the test
@@ -879,6 +880,106 @@ def test_sketched_xu_matches_the_two_transform_certificate(monkeypatch, n, solve
     assert (new.embedding_ok, new.cross_term_ok) == (old.embedding_ok, old.cross_term_ok)
     for name in ("z", "gamma", "kappa", "sigma_min"):
         assert getattr(new, name) == getattr(old, name)
+
+
+# The sketched-XU digest above was computed when the basis came from A
+# alone and X U from (U^T A)^-1 (now `sketched_xu_diagnostics`). Its twin
+# pins the basis preconditioned by the sketch's R_s, with X U read off
+# R_s R^-1, the same at 1 and at 2 BLAS threads. Every Diagnostics field
+# moves; residual_tilde and the solution digests do not.
+_PINNED_SKETCHS_R_CERTIFICATE_DIGEST = (
+    "ba4c585b30f796ecfb0f88aa8ff982c08e0078df819bc6129945065eaaef2eb1"
+)
+
+
+def test_certificate_bytes_pinned_on_the_sketchs_r():
+    assert _certificate_digest() == _PINNED_SKETCHS_R_CERTIFICATE_DIGEST
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+@pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8, 1e10, 1e12, 2e12])
+def test_sketchs_r_matches_the_sketched_xu_certificate(monkeypatch, n, solve, kappa):
+    # Both routes read A's small singular directions to about kappa u, and
+    # round the butterfly's log2(padded n) stages their own way. Measured
+    # on seeds 0-3: at most 2.4e-4 (sigma_xu), 1.7e-8 (z) and 1.1e-5 (kappa)
+    # at kappa = 1e12, a fifth of the bound or less at every kappa.
+    a, _ = known_spectrum_matrix(n, 10, kappa, seed=8)
+    problem = LsProblem(a, np.random.default_rng(8).standard_normal(n))
+    params = _params(q=0.3)
+    new = solve(problem, params, 23, diagnostics=True)
+    monkeypatch.setattr(solver_mod, "_diagnostics", sketched_xu_diagnostics)
+    old = solve(problem, params, 23, diagnostics=True)
+    assert new.x_tilde.tobytes() == old.x_tilde.tobytes()
+    assert new.residual_tilde == old.residual_tilde
+    new, old = new.diagnostics, old.diagnostics
+    tol = 10.0 * (kappa + math.log2(problem.stacked.shape[0])) * 2.0**-52
+    for name in ("sigma_xu", "cross_term", "z", "gamma", "kappa", "sigma_min"):
+        rel = np.abs(np.asarray(getattr(new, name)) / getattr(old, name) - 1.0)
+        assert rel.max() <= tol, name
+    assert (new.embedding_ok, new.cross_term_ok) == (old.embedding_ok, old.cross_term_ok)
+
+
+def test_a_certified_solve_builds_one_basis_from_the_sketchs_r(gaussian_problem, monkeypatch):
+    # The basis gets the R of the solve's own sketch of A, and X U is never
+    # formed: verify_conditions sees d x d factors.
+    calls, shapes = [], []
+    real_basis, real_verify = solver_mod.orthonormal_basis, solver_mod.verify_conditions
+
+    def basis(a, r_s=None):
+        calls.append(None if r_s is None else np.shape(r_s))
+        return real_basis(a, r_s)
+
+    def verify(xu, *args):
+        shapes.append(np.shape(xu))
+        return real_verify(xu, *args)
+
+    monkeypatch.setattr(solver_mod, "orthonormal_basis", basis)
+    monkeypatch.setattr(solver_mod, "verify_conditions", verify)
+    d = gaussian_problem.d
+    sketch_solve_sampling(gaussian_problem, _params(), 5, diagnostics=True)
+    assert calls == [(d, d)] and shapes == [(d, d)]
+
+
+def test_a_large_scale_free_solution_is_in_range():
+    # R ~ 1e300 times x ~ 1e10 overflows float64, though x itself does not:
+    # the back substitution and A x - b run on power-of-two-scaled data.
+    a, _ = known_spectrum_matrix(4096, 10, 1e10, seed=8)
+    b = np.random.default_rng(8).standard_normal(4096)
+    params = SketchParams(epsilon=0.5, r=256)
+    plain = sketch_solve_sampling(LsProblem(a, b), params, 23)
+    scaled = sketch_solve_sampling(LsProblem(a * 1e300, b * 1e300), params, 23)
+    assert np.abs(scaled.x_tilde / plain.x_tilde - 1.0).max() <= 10.0 * 1e10 * 2.0**-52
+    assert scaled.residual_tilde / 1e300 == pytest.approx(plain.residual_tilde, rel=1e-8)
+    x, z = exact_outcome(LsProblem(a * 1e300, b * 1e300))
+    assert np.isfinite(x).all()
+    assert z / 1e300 == pytest.approx(exact_outcome(LsProblem(a, b))[1], rel=1e-8)
+
+
+def test_best_of_certifies_only_the_kept_trial(gaussian_problem, monkeypatch):
+    # Every trial certified, then the smallest residual kept: the outcome
+    # the bundle gave when it certified all m, byte for byte.
+    trials = [
+        sketch_solve_sampling(gaussian_problem, _params(), 19, stream_prefix=f"bestof{t}/",
+                              diagnostics=True)
+        for t in range(3)
+    ]
+    expected = min(trials, key=lambda o: o.residual_tilde)
+    calls = []
+    real = solver_mod.orthonormal_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "orthonormal_basis", counted)
+    best = sketch_solve_best_of(gaussian_problem, _params(), 19, m=3, diagnostics=True)
+    assert len(calls) == 1
+    assert best.x_tilde.tobytes() == expected.x_tilde.tobytes()
+    assert (best.residual_tilde, best.retries) == (expected.residual_tilde, expected.retries)
+    for field in dataclasses.fields(Diagnostics):
+        assert (np.asarray(getattr(best.diagnostics, field.name)).tobytes()
+                == np.asarray(getattr(expected.diagnostics, field.name)).tobytes())
 
 
 @pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
