@@ -22,7 +22,7 @@ from .errors import (
     SpectralNormTooLarge,
     ZeroMatrix,
 )
-from .linalg import as_matrix, spectral_norm_sym
+from .linalg import as_matrix, as_symmetric, spectral_norm_sym
 from .rng import stream
 
 # Headroom on the probability floor and the spectral-norm hypothesis to
@@ -207,11 +207,12 @@ def matmul_error(a, c_mat) -> float:
 
 
 def gram_error(a, gram) -> float:
-    """Spectral norm of A A^T - G for a precomputed Gram estimate G."""
+    """Spectral norm of A A^T - G for a precomputed Gram estimate G,
+    symmetric to its own rounding (`as_symmetric`) at any scale."""
     a = as_matrix(a)
-    gram = as_matrix(gram)
+    gram = as_symmetric(gram, "Gram estimate")
     if gram.shape != (a.shape[0], a.shape[0]):
         raise DimensionMismatch(
             f"Gram estimate must be {a.shape[0]} x {a.shape[0]}, got {gram.shape}"
         )
-    return spectral_norm_sym(a @ a.T - gram)
+    return spectral_norm_sym(as_symmetric(a @ a.T) - gram)

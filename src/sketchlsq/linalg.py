@@ -7,12 +7,13 @@ factorizations, each where it pays:
 
   - every least-squares solve takes x and the residual norm from the R of
     the stacked [M | v] alone (geqrf): no Q, no residual pass;
-  - `qr_factor` forms Householder's Q, for `gen_problem`'s pinned bytes;
-  - `orthonormal_basis` is CholeskyQR, BLAS-3 throughout, and returns R
-    too. Given the R of a sketch of its input it makes one pass after
-    A R_s^-1: 10-11 ms at 2^14 x 50 on a 2-vCPU VM, plus 5 ms for the R of
-    a 3461-row sketch. Otherwise it is shifted CholeskyQR3, three passes:
-    13-15 ms there, against 44 ms for BLAS-2 Householder.
+  - `qr_factor` forms Householder's Q, for `gen_problem`'s pinned bytes
+    and as the basis wherever no sketch preconditions one;
+  - `orthonormal_basis`, given the R of a sketch of its input, makes one
+    BLAS-3 CholeskyQR pass after A R_s^-1 and returns R too: 10-11 ms at
+    2^14 x 50 on a 2-vCPU VM, plus 5 ms for the R of a 3461-row sketch.
+    Without R_s, or when that pass fails, it is `qr_factor`: 35-51 ms
+    there, against 13-20 ms for the shifted CholeskyQR3 it replaced.
 
 All functions are pure: inputs are validated (finite entries, compatible
 shapes) and never mutated, so concurrent calls on shared arrays are safe.
@@ -136,7 +137,8 @@ def solve_exact_ls(a, b) -> np.ndarray:
 
     Of the module's three factorizations this is the R of [a | b], which
     holds Q^T b, so no Q is formed; Householder's Q stays for `gen_problem`'s
-    pinned bytes, CholeskyQR for the diagnostics' BLAS-3 basis. Raises
+    pinned bytes and the basis without a sketch's R, CholeskyQR for the
+    basis with one. Raises
     RankDeficient as `qr_factor`, InvalidSpec on a float64 overflow.
     """
     a = _as_tall(a)
@@ -146,63 +148,54 @@ def solve_exact_ls(a, b) -> np.ndarray:
     return _stacked_lstsq(np.column_stack([a, b]))[0]
 
 
-def _cholesky_pass(q: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """One CholeskyQR pass, q = (q C^-1) C with C^T C = q^T q + shift
-    tr(q^T q) I. LinAlgError when the Cholesky factor fails."""
-    g = q.T @ q
-    if not np.isfinite(g).all():
-        raise np.linalg.LinAlgError("the Gram matrix is not finite")
-    g[np.diag_indices(g.shape[0])] += shift * np.trace(g)
-    c = np.linalg.cholesky(g).T
-    return q @ np.linalg.inv(c), c
-
-
 def _preconditioned_pass(a: np.ndarray, r_s: np.ndarray) -> Optional[QrFactors]:
-    """a = U C r_s by one CholeskyQR pass on a r_s^-1, or None when one pass
-    cannot give U^T U = I to roundoff: r_s is singular, the Cholesky factor
-    fails, or kappa(C) > 16 (one pass leaves U^T U - I at about
-    kappa(C)^2 u)."""
+    """a = U C r_s by one CholeskyQR pass on U_0 = a r_s^-1, U = U_0 C^-1
+    with C^T C = U_0^T U_0, or None when one pass cannot give U^T U = I to
+    roundoff: r_s is singular, the Cholesky factor fails, or kappa(C) > 16
+    (one pass leaves U^T U - I at about kappa(C)^2 u)."""
     # Past 2^+-64, a and r_s are first scaled by one power of two, which is
     # exact, so r_s^-1 stays in range; at ordinary scales that pass over a
     # would change no byte.
     e = int(np.frexp(np.abs(r_s).max())[1])
     a_e, r_e = (np.ldexp(a, -e), np.ldexp(r_s, -e)) if abs(e) > 64 else (a, r_s)
     try:
-        # A nearly singular or far-off r_s overflows here, and the pass
-        # fails on a Gram matrix that is not finite.
+        # A nearly singular or far-off r_s overflows here, into a Gram
+        # matrix that is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            u, c = _cholesky_pass(a_e @ np.linalg.inv(r_e))
+            u = a_e @ np.linalg.inv(r_e)
+            g = u.T @ u
+        if not np.isfinite(g).all():
+            return None
+        c = np.linalg.cholesky(g).T
     except np.linalg.LinAlgError:
         return None
     if np.linalg.cond(c) > _ONE_PASS_COND:
         return None
-    return QrFactors(u, c @ r_s)
+    return QrFactors(u @ np.linalg.inv(c), c @ r_s)
 
 
 def orthonormal_basis(a, r_s=None) -> QrFactors:
-    """Thin QR factors a = U R by CholeskyQR, U an orthonormal basis of
-    range(a), R upper triangular with a nonnegative diagonal.
+    """Thin QR factors a = U R, U an orthonormal basis of range(a), R upper
+    triangular with a nonnegative diagonal.
 
     `r_s` is the R factor of a sketch X a (d x d; its rows are signed here
     so the diagonal is nonnegative). A sketch that embeds range(a) makes
-    a r_s^-1 nearly orthonormal, so that is pass 1 and one plain pass
-    finishes it, R = C r_s: randomized CholeskyQR (Balabanov 2022; Garrison
-    and Ipsen 2024). Without `r_s`, or when that pass fails because the
-    sketch embeds range(a) badly or not at all, it is shifted CholeskyQR3
-    (Fukaya, Kannan, Nakatsukasa, Yamamoto and Yanagisawa, SISC 2020),
-    R = C3 C2 C1: pass 1 factors Q^T Q + s I, s = 11 (nd + d(d+1)) 2^-53
-    ||Q||_F^2, which holds up to kappa ~ 1e15; passes 2 and 3 are plain
-    CholeskyQR. Either route works on a scaled exactly by a power of two
-    where needed, so the products stay in range at any entry scale.
+    a r_s^-1 nearly orthonormal, so that is pass 1 and one plain CholeskyQR
+    pass finishes it, R = C r_s: randomized CholeskyQR (Balabanov 2022;
+    Garrison and Ipsen 2024). Without `r_s`, or when that pass fails
+    because the sketch embeds range(a) badly or not at all, it is
+    `qr_factor(a)`, LAPACK's Householder QR, byte for byte: 35-51 ms
+    against the pass's 10-11 ms at 2^14 x 50 on a 2-vCPU VM (at 2 and 1
+    BLAS threads), 0.2 ms at 1024 x 8.
 
     Any orthonormal basis of the column space is equivalent for the
     structural-condition diagnostics: a rotation U -> U Q leaves both the
-    singular values of X U and ||(X U)^T v|| unchanged. RankDeficient when a
-    Cholesky factor of shifted CholeskyQR3 fails, or R fails `qr_factor`'s
-    diagonal test; DimensionMismatch unless `r_s` is d x d.
+    singular values of X U and ||(X U)^T v|| unchanged. RankDeficient when
+    R fails `qr_factor`'s diagonal test; DimensionMismatch unless `r_s` is
+    d x d.
     """
     a = _as_tall(a)
-    n, d = a.shape
+    d = a.shape[1]
     if r_s is not None:
         r_s = as_matrix(r_s, "R_s")
         if r_s.shape != (d, d):
@@ -212,17 +205,7 @@ def orthonormal_basis(a, r_s=None) -> QrFactors:
         if factors is not None:
             _require_full_rank(np.diag(factors.r))
             return factors
-    e = int(np.frexp(np.abs(a).max())[1])
-    q = np.ldexp(a, -e)
-    r = np.eye(d)
-    for shift in (11 * (n * d + d * (d + 1)) * 2.0**-53, 0.0, 0.0):
-        try:
-            q, c = _cholesky_pass(q, shift)
-        except np.linalg.LinAlgError:
-            raise RankDeficient("Cholesky factor of the Gram matrix failed") from None
-        r = c @ r
-    _require_full_rank(np.diag(r))
-    return QrFactors(q, np.ldexp(r, e))
+    return qr_factor(a)
 
 
 def gram_singular_values(m) -> np.ndarray:
@@ -243,16 +226,24 @@ def vector_norm(v) -> float:
     return float(norm(v))
 
 
-def spectral_norm_sym(m) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, from the full
-    symmetric eigensolve (LAPACK via `np.linalg.eigvalsh`)."""
-    m = as_matrix(m)
+def as_symmetric(m, name: str = "matrix") -> np.ndarray:
+    """`as_matrix` of a square matrix that is symmetric up to its own
+    rounding, within 1e-10 of its largest entry, made exactly symmetric by
+    mirroring the lower triangle, the one LAPACK's symmetric eigensolve
+    reads. DimensionMismatch otherwise."""
+    m = as_matrix(m, name)
     n, d = m.shape
     if n != d:
-        raise DimensionMismatch(f"matrix must be square, got {n} x {d}")
-    if np.abs(m - m.T).max() > 1e-10:
-        raise DimensionMismatch("matrix must be symmetric within 1e-10")
-    return float(np.abs(np.linalg.eigvalsh(m)).max())
+        raise DimensionMismatch(f"{name} must be square, got {n} x {d}")
+    if np.abs(m - m.T).max() > 1e-10 * np.abs(m).max():
+        raise DimensionMismatch(f"{name} must be symmetric within 1e-10 of its largest entry")
+    return np.tril(m) + np.tril(m, -1).T
+
+
+def spectral_norm_sym(m) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix (`as_symmetric`),
+    from the full symmetric eigensolve (LAPACK via `np.linalg.eigvalsh`)."""
+    return float(np.abs(np.linalg.eigvalsh(as_symmetric(m))).max())
 
 
 def project_out(u, b) -> np.ndarray:

@@ -278,13 +278,18 @@ def cgnr_solve(m, v, tol: float = 1e-10, max_iter: Optional[int] = None) -> np.n
     it converges in max_iter (default 10 d + 20) steps only for
     well-conditioned m, and misses tol = 1e-12 from about kappa(m) = 1e4
     on, raising ConvergenceFailure; the qr small solver has no such limit.
+    InvalidSpec unless tol >= 0 (NaN included) and max_iter is an integer
+    >= 0.
     """
     m = as_matrix(m)
     v = as_vector(v)
     if m.shape[0] != v.shape[0]:
         raise DimensionMismatch(f"matrix has {m.shape[0]} rows, rhs has {v.shape[0]}")
-    if max_iter is None:
-        max_iter = 10 * m.shape[1] + 20
+    if not tol >= 0.0:
+        raise InvalidSpec(f"tol must be >= 0, got {tol}")
+    max_iter = 10 * m.shape[1] + 20 if max_iter is None else check_integer(max_iter, "max_iter")
+    if max_iter < 0:
+        raise InvalidSpec(f"max_iter must be >= 0, got {max_iter}")
     e_m = np.frexp(np.abs(m).max())[1]
     e_v = np.frexp(np.abs(v).max())[1]
     m = np.ldexp(m, -e_m)

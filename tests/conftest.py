@@ -7,6 +7,7 @@ import sketchlsq.cli as cli
 import sketchlsq.ensembles as ensembles
 import sketchlsq.solver as solver
 from oracles import (
+    cholesky_qr3_orthonormal_basis,
     frozen_sparse_projection,
     householder_exact_outcome,
     householder_orthonormal_basis,
@@ -31,6 +32,14 @@ def householder_basis(monkeypatch):
     before shifted CholeskyQR3, so that digests taken on it keep their
     meaning."""
     monkeypatch.setattr(solver, "orthonormal_basis", householder_orthonormal_basis)
+
+
+@pytest.fixture
+def cholesky_qr3_basis(monkeypatch):
+    """Make the basis behind every certificate the one it was before
+    Householder QR replaced shifted CholeskyQR3 where no sketch's R
+    preconditions it, so that digests taken on it keep their meaning."""
+    monkeypatch.setattr(solver, "orthonormal_basis", cholesky_qr3_orthonormal_basis)
 
 
 @pytest.fixture

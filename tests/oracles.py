@@ -6,12 +6,13 @@ coefficients via the trace recurrence for singular values, matrices built
 around a known singular spectrum, triple-loop products for sparse
 operators, the plain stage-by-stage Hadamard butterfly, the triplet
 sparse-projection draws and product, the per-pair moment-bound loop, and
-the frozen projection draw, Householder basis, Householder least-squares
-solve, two-transform diagnostics and sketched-XU diagnostics that pinned
-digests were taken with.
+the frozen projection draw, Householder basis, shifted-CholeskyQR3 basis,
+Householder least-squares solve, two-transform diagnostics and sketched-XU
+diagnostics that pinned digests were taken with.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 import scipy.sparse
@@ -19,8 +20,11 @@ from scipy.linalg import solve_triangular
 
 import sketchlsq.solver as solver
 from sketchlsq.ensembles import EnsembleResult, _moment_pair
-from sketchlsq.errors import DimensionMismatch, InvalidSpec
+from sketchlsq.errors import DimensionMismatch, InvalidSpec, RankDeficient
 from sketchlsq.linalg import (
+    QrFactors,
+    _as_tall,
+    _require_full_rank,
     as_matrix,
     as_vector,
     gram_singular_values,
@@ -34,6 +38,10 @@ from sketchlsq.sketches import (
     apply_sparse_projection,
     draw_sparse_projection,
 )
+
+# Largest kappa(C) of the one CholeskyQR pass after a sketch's R that the
+# shifted-CholeskyQR3 basis accepted.
+_ONE_PASS_COND = 16.0
 
 
 def gaussian_solve(m, rhs):
@@ -216,6 +224,89 @@ def householder_orthonormal_basis(a, r_s=None):
     Householder QR with a nonnegative R diagonal, ignoring the sketch's
     `r_s`. The certificate digests taken before the re-roll hold on it."""
     return qr_factor(a)
+
+
+def _cholesky_pass(q: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """One CholeskyQR pass, q = (q C^-1) C with C^T C = q^T q + shift
+    tr(q^T q) I. LinAlgError when the Cholesky factor fails."""
+    g = q.T @ q
+    if not np.isfinite(g).all():
+        raise np.linalg.LinAlgError("the Gram matrix is not finite")
+    g[np.diag_indices(g.shape[0])] += shift * np.trace(g)
+    c = np.linalg.cholesky(g).T
+    return q @ np.linalg.inv(c), c
+
+
+def _preconditioned_pass(a: np.ndarray, r_s: np.ndarray) -> Optional[QrFactors]:
+    """a = U C r_s by one CholeskyQR pass on a r_s^-1, or None when one pass
+    cannot give U^T U = I to roundoff: r_s is singular, the Cholesky factor
+    fails, or kappa(C) > 16 (one pass leaves U^T U - I at about
+    kappa(C)^2 u)."""
+    # Past 2^+-64, a and r_s are first scaled by one power of two, which is
+    # exact, so r_s^-1 stays in range; at ordinary scales that pass over a
+    # would change no byte.
+    e = int(np.frexp(np.abs(r_s).max())[1])
+    a_e, r_e = (np.ldexp(a, -e), np.ldexp(r_s, -e)) if abs(e) > 64 else (a, r_s)
+    try:
+        # A nearly singular or far-off r_s overflows here, and the pass
+        # fails on a Gram matrix that is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, c = _cholesky_pass(a_e @ np.linalg.inv(r_e))
+    except np.linalg.LinAlgError:
+        return None
+    if np.linalg.cond(c) > _ONE_PASS_COND:
+        return None
+    return QrFactors(u, c @ r_s)
+
+
+def cholesky_qr3_orthonormal_basis(a, r_s=None) -> QrFactors:
+    """The diagnostics' basis as it was before `qr_factor` replaced shifted
+    CholeskyQR3: both routes of that `orthonormal_basis`, verbatim. The
+    certificate digests taken before the re-roll hold on it.
+
+    Thin QR factors a = U R by CholeskyQR, U an orthonormal basis of
+    range(a), R upper triangular with a nonnegative diagonal.
+
+    `r_s` is the R factor of a sketch X a (d x d; its rows are signed here
+    so the diagonal is nonnegative). A sketch that embeds range(a) makes
+    a r_s^-1 nearly orthonormal, so that is pass 1 and one plain pass
+    finishes it, R = C r_s: randomized CholeskyQR (Balabanov 2022; Garrison
+    and Ipsen 2024). Without `r_s`, or when that pass fails because the
+    sketch embeds range(a) badly or not at all, it is shifted CholeskyQR3
+    (Fukaya, Kannan, Nakatsukasa, Yamamoto and Yanagisawa, SISC 2020),
+    R = C3 C2 C1: pass 1 factors Q^T Q + s I, s = 11 (nd + d(d+1)) 2^-53
+    ||Q||_F^2, which holds up to kappa ~ 1e15; passes 2 and 3 are plain
+    CholeskyQR. Either route works on a scaled exactly by a power of two
+    where needed, so the products stay in range at any entry scale.
+
+    Any orthonormal basis of the column space is equivalent for the
+    structural-condition diagnostics: a rotation U -> U Q leaves both the
+    singular values of X U and ||(X U)^T v|| unchanged. RankDeficient when a
+    Cholesky factor of shifted CholeskyQR3 fails, or R fails `qr_factor`'s
+    diagonal test; DimensionMismatch unless `r_s` is d x d.
+    """
+    a = _as_tall(a)
+    n, d = a.shape
+    if r_s is not None:
+        r_s = as_matrix(r_s, "R_s")
+        if r_s.shape != (d, d):
+            raise DimensionMismatch(f"R_s must be {d} x {d}, got {r_s.shape[0]} x {r_s.shape[1]}")
+        r_s = np.triu(np.where(np.diag(r_s) < 0.0, -1.0, 1.0)[:, None] * r_s)
+        factors = _preconditioned_pass(a, r_s)
+        if factors is not None:
+            _require_full_rank(np.diag(factors.r))
+            return factors
+    e = int(np.frexp(np.abs(a).max())[1])
+    q = np.ldexp(a, -e)
+    r = np.eye(d)
+    for shift in (11 * (n * d + d * (d + 1)) * 2.0**-53, 0.0, 0.0):
+        try:
+            q, c = _cholesky_pass(q, shift)
+        except np.linalg.LinAlgError:
+            raise RankDeficient("Cholesky factor of the Gram matrix failed") from None
+        r = c @ r
+    _require_full_rank(np.diag(r))
+    return QrFactors(q, np.ldexp(r, e))
 
 
 def householder_solve_exact_ls(a, b):

@@ -20,6 +20,7 @@ from sketchlsq.approx_matmul import (
     uniform_probabilities,
 )
 from sketchlsq.errors import (
+    DimensionMismatch,
     FrobeniusTooSmall,
     InvalidSpec,
     SpectralNormTooLarge,
@@ -197,6 +198,26 @@ def test_matmul_error_extremes():
     sv_max = np.linalg.svd(a, compute_uv=False)[0]
     err = gram_error(a, np.zeros((4, 4)))
     assert err == pytest.approx(sv_max**2, rel=1e-5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_gram_error_takes_estimates_symmetric_to_their_own_rounding(scale):
+    # approx_gram's GEMM leaves its estimate asymmetric by its own rounding,
+    # 2e-7 at scale 1e3 and 0.22 at 1e6, past an absolute 1e-10; so is a
+    # Gram matrix from two separate operands, whose difference from A A^T
+    # is all rounding.
+    a = np.random.default_rng(1).standard_normal((64, 4096)) * scale
+    g = approx_gram(a, ColumnSampler.norm_squared(a, c=500), 1)
+    assert gram_error(a, g) == pytest.approx(np.linalg.norm(a @ a.T - g, 2), rel=1e-12)
+    assert gram_error(a, a @ a.T.copy()) <= 1e-13 * np.linalg.norm(a, 2) ** 2
+
+
+def test_gram_error_rejects_an_asymmetric_estimate():
+    a = np.random.default_rng(2).standard_normal((8, 64)) * 1e6
+    g = a @ a.T
+    g[0, 1] += 1e-8 * np.abs(g).max()
+    with pytest.raises(DimensionMismatch, match="symmetric"):
+        gram_error(a, g)
 
 
 def test_rescale_and_require():

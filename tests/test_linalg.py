@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 import sketchlsq
 import sketchlsq.linalg as linalg
@@ -188,9 +189,9 @@ def test_orthonormal_basis_spans_range():
 @pytest.mark.parametrize("n", [2**12, 2**12 + 1, 2**14])
 @pytest.mark.parametrize("kappa", [1e4, 1e8, 1e10, 1e12])
 def test_orthonormal_basis_is_orthonormal_to_roundoff(n, kappa):
-    # Shifted CholeskyQR3 keeps U^T U = I to roundoff up to kappa ~ 1e15,
-    # and U^T A keeps A's spectrum: kappa read 1.2e-7 off at 1e10, where
-    # Householder's Q read 3.5e-8 off (n as here, seeds 0-2).
+    # Householder's Q keeps U^T U = I to roundoff at any kappa, and U^T A
+    # keeps A's spectrum: kappa read 3.5e-8 off at 1e10 (n as here, seeds
+    # 0-2).
     a, _ = known_spectrum_matrix(n, 10, kappa, seed=0)
     u = orthonormal_basis(a).q
     assert np.linalg.norm(u.T @ u - np.eye(10), 2) <= 1e-15
@@ -200,7 +201,7 @@ def test_orthonormal_basis_is_orthonormal_to_roundoff(n, kappa):
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300])
 def test_orthonormal_basis_at_extreme_scales(scale):
-    # An exact power-of-two rescale keeps the Gram products in range.
+    # Householder's norms are scaled, so nothing leaves float64's range.
     a = np.random.default_rng(41).standard_normal((4096, 50))
     u = orthonormal_basis(a * scale).q
     assert np.linalg.norm(u.T @ u - np.eye(50), 2) <= 1e-15
@@ -238,16 +239,12 @@ def test_orthonormal_basis_from_a_sketchs_r(monkeypatch, n, kappa):
     # seeds 0-2: U^T U - I at most 9.2e-16 and A - U R at most 1.5e-15
     # (2-norm, relative).
     a, _ = known_spectrum_matrix(n, 10, kappa, seed=0)
-    passes = []
-    real = linalg._cholesky_pass
 
-    def counted(q, shift=0.0):
-        passes.append(shift)
-        return real(q, shift)
+    def no_fallback(_):
+        raise AssertionError("fell back to Householder QR")
 
-    monkeypatch.setattr(linalg, "_cholesky_pass", counted)
+    monkeypatch.setattr(linalg, "qr_factor", no_fallback)
     f = orthonormal_basis(a, _sketch_r(a, seed=1))
-    assert passes == [0.0]
     assert np.linalg.norm(f.q.T @ f.q - np.eye(10), 2) <= 4e-15
     assert np.linalg.norm(a - f.q @ f.r, 2) <= 4e-15 * np.linalg.norm(a, 2)
     assert (np.diag(f.r) > 0.0).all() and not np.tril(f.r, -1).any()
@@ -267,8 +264,8 @@ def test_orthonormal_basis_signs_the_sketchs_r(sign_rows):
 
 def test_orthonormal_basis_falls_back_when_the_sketch_does_not_embed():
     # An R_s of an unrelated kappa = 1e12 matrix leaves A R_s^-1 too ill
-    # conditioned for one pass: the result is shifted CholeskyQR3's, byte
-    # for byte.
+    # conditioned for one pass: the result is Householder QR's, byte for
+    # byte.
     a, _ = known_spectrum_matrix(2**12, 10, 1e4, seed=4)
     unrelated, _ = known_spectrum_matrix(2**12, 10, 1e12, seed=5)
     f = orthonormal_basis(a, np.linalg.qr(unrelated, mode="r"))
@@ -276,6 +273,79 @@ def test_orthonormal_basis_falls_back_when_the_sketch_does_not_embed():
     assert np.linalg.norm(a - f.q @ f.r, 2) <= 1e-15 * np.linalg.norm(a, 2)
     plain = orthonormal_basis(a)
     assert np.array_equal(f.q, plain.q) and np.array_equal(f.r, plain.r)
+
+
+def _basis_input(n, d, kappa, seed, deficiency, power):
+    """A known-spectrum n x d matrix scaled by 2^power, with column 0
+    copied into column d - 1 or zeroed when `deficiency` says so."""
+    a, _ = known_spectrum_matrix(n, d, kappa, seed)
+    if deficiency == "duplicate column":
+        a[:, -1] = a[:, 0]
+    elif deficiency == "zero column":
+        a[:, 0] = 0.0
+    return np.ldexp(a, power)
+
+
+def _basis_sketch_r(a, kind, seed):
+    """An R_s for `a` of the given kind, or None."""
+    rng = np.random.default_rng(seed)
+    n, d = a.shape
+    if kind == "none":
+        return None
+    if kind == "unrelated":
+        return np.linalg.qr(rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d), mode="r")
+    r_s = np.linalg.qr(rng.standard_normal((10 * d + 10, n)) @ a, mode="r")
+    if kind == "negated rows":
+        r_s[rng.random(d) < 0.5] *= -1.0
+    elif kind == "near-singular":
+        r_s[-1, -1] *= 1e-14
+    elif kind == "singular":
+        r_s[-1] = 0.0
+    return r_s
+
+
+_SKETCH_R_KINDS = ["none", "sketch", "negated rows", "unrelated", "near-singular", "singular"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 8),
+    extra=st.integers(0, 200),
+    kappa=st.sampled_from([1.0, 1e3, 1e6]),
+    deficiency=st.sampled_from([None, None, "duplicate column", "zero column"]),
+    power=st.sampled_from([-997, 0, 997]),
+    kind=st.sampled_from(_SKETCH_R_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=8, extra=500, kappa=1e3, deficiency=None, power=997, kind="none", seed=9)
+@example(d=8, extra=500, kappa=1e3, deficiency=None, power=-997, kind="none", seed=9)
+@example(d=8, extra=500, kappa=1e3, deficiency=None, power=997, kind="unrelated", seed=9)
+@example(d=8, extra=500, kappa=1e3, deficiency=None, power=-997, kind="unrelated", seed=9)
+@example(d=8, extra=500, kappa=1e3, deficiency=None, power=997, kind="singular", seed=9)
+@example(d=8, extra=500, kappa=1e3, deficiency=None, power=-997, kind="singular", seed=9)
+def test_orthonormal_basis_is_qr_or_one_rank_error(d, extra, kappa, deficiency, power, kind,
+                                                   seed):
+    # Whatever R_s is, the factors are thin QR factors to roundoff, or
+    # RankDeficient exactly when qr_factor raises it; without R_s, or when
+    # the pass after it fails, they are qr_factor's bytes, at any entry
+    # scale (the examples pin each such route at 2^+-997, about 1e+-300).
+    a = _basis_input(d + extra, d, kappa, seed, deficiency if d > 1 else None, power)
+    r_s = _basis_sketch_r(a, kind, seed)
+    try:
+        expected = qr_factor(a)
+    except RankDeficient:
+        with pytest.raises(RankDeficient):
+            orthonormal_basis(a, r_s)
+        return
+    f = orthonormal_basis(a, r_s)
+    assert np.linalg.norm(f.q.T @ f.q - np.eye(d), 2) <= 4e-15
+    a_1, r_1 = np.ldexp(a, -power), np.ldexp(f.r, -power)
+    assert np.linalg.norm(a_1 - f.q @ r_1, 2) <= 4e-15 * np.linalg.norm(a_1, 2)
+    assert (np.diag(f.r) >= 0.0).all() and not np.tril(f.r, -1).any()
+    # The pass sees R_s with its rows signed, as orthonormal_basis signs them.
+    signs = None if r_s is None else np.where(np.diag(r_s) < 0.0, -1.0, 1.0)[:, None]
+    if r_s is None or linalg._preconditioned_pass(a, np.triu(signs * r_s)) is None:
+        assert f.q.tobytes() == expected.q.tobytes() and f.r.tobytes() == expected.r.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(11, 11), (10, 9), (9, 10)])

@@ -333,6 +333,18 @@ def test_cgnr_iteration_cap():
         cgnr_solve(m, v, tol=1e-14, max_iter=1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": math.nan}, {"tol": -1e-12}, {"max_iter": 2.5}, {"max_iter": True}, {"max_iter": -1},
+])
+def test_cgnr_rejects_a_nan_tol_and_a_non_integer_max_iter(kwargs):
+    # A NaN tol compared False against every residual, so CGNR ran out its
+    # iterations and returned an unconverged x without an error.
+    rng = np.random.default_rng(9)
+    m, v = rng.standard_normal((30, 6)), rng.standard_normal(30)
+    with pytest.raises(InvalidSpec, match=next(iter(kwargs))):
+        cgnr_solve(m, v, **{"tol": 1e-12, "max_iter": 2, **kwargs})
+
+
 def test_cgnr_small_solver_path(gaussian_problem):
     out_qr = sketch_solve_sampling(gaussian_problem, _params(), 5)
     out_cg = sketch_solve_sampling(gaussian_problem, _params(), 5, small_solver="cgnr")
@@ -820,7 +832,8 @@ def test_certificate_bytes_pinned(two_transform, householder_basis, householder_
     assert _certificate_digest() == _PINNED_CERTIFICATE_DIGEST
 
 
-def test_certificate_bytes_pinned_on_cholesky_qr3(two_transform, householder_solve):
+def test_certificate_bytes_pinned_on_cholesky_qr3(two_transform, householder_solve,
+                                                  cholesky_qr3_basis):
     assert _certificate_digest() == _PINNED_CHOLESKY_QR3_CERTIFICATE_DIGEST
 
 
@@ -840,7 +853,8 @@ def test_certificate_bytes_pinned_on_the_stacked_r(two_transform, householder_ba
     assert _certificate_digest() == _PINNED_STACKED_R_CERTIFICATE_DIGEST
 
 
-def test_certificate_bytes_pinned_on_cholesky_qr3_and_the_stacked_r(two_transform):
+def test_certificate_bytes_pinned_on_cholesky_qr3_and_the_stacked_r(two_transform,
+                                                                    cholesky_qr3_basis):
     assert _certificate_digest() == _PINNED_STACKED_R_CHOLESKY_QR3_CERTIFICATE_DIGEST
 
 
@@ -855,7 +869,7 @@ _PINNED_SKETCHED_XU_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_solves_own_sketch(sketched_xu):
+def test_certificate_bytes_pinned_on_the_solves_own_sketch(sketched_xu, cholesky_qr3_basis):
     assert _certificate_digest() == _PINNED_SKETCHED_XU_CERTIFICATE_DIGEST
 
 
@@ -892,8 +906,23 @@ _PINNED_SKETCHS_R_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_sketchs_r():
+def test_certificate_bytes_pinned_on_the_sketchs_r(cholesky_qr3_basis):
     assert _certificate_digest() == _PINNED_SKETCHS_R_CERTIFICATE_DIGEST
+
+
+# The sketch's-R digest above was computed when the basis fell back to
+# shifted CholeskyQR3 (now `cholesky_qr3_orthonormal_basis`). Its twin pins
+# the fallback to `qr_factor`, the same at 1 and at 2 BLAS threads. Of the
+# corpus's 27 certificates, only the first sampled one of the 9 x 6 cell
+# falls back (kappa(C) = 497 there) and moves; its flags and residual_tilde
+# do not.
+_PINNED_HOUSEHOLDER_FALLBACK_CERTIFICATE_DIGEST = (
+    "b058727d238f3e3112c8f23b1520ddce47cdfab3de84b28b9e2cdf421cf84b31"
+)
+
+
+def test_certificate_bytes_pinned_on_the_householder_fallback():
+    assert _certificate_digest() == _PINNED_HOUSEHOLDER_FALLBACK_CERTIFICATE_DIGEST
 
 
 @pytest.mark.parametrize("n", [4096, 4097])
