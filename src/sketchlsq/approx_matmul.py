@@ -7,6 +7,11 @@ A A^T. The guarantee that the spectral error stays below eps needs
 p_i >= beta ||A^(i)||^2 / ||A||_F^2, and the sample size from
 `c_lower_bound`. The Gram estimate is accumulated streaming, so the
 (often enormous) C never has to exist when only the error matters.
+
+The column energies and the Gram matrix behind ||A||_2 are taken from A
+scaled by one exact power of two when its largest entry lies far from 1,
+so probabilities, M and ||A||_2 hold at any entry scale; a Gram product
+that overflows float64 itself raises InvalidSpec.
 """
 
 import math
@@ -23,21 +28,45 @@ from .errors import (
     ZeroMatrix,
 )
 from .linalg import as_matrix, as_symmetric, spectral_norm_sym
-from .rng import stream
+from .rng import check_integer, stream
 
 # Headroom on the probability floor and the spectral-norm hypothesis to
 # absorb roundoff in the norms themselves.
 _FLOOR_SLACK = 1e-12
 _SPECTRAL_SLACK = 1e-8
 
+# Entries up to 2^+-_ORDINARY_EXP square, and sum in any count numpy can
+# hold, inside float64's normal range; past it A is scaled first.
+_ORDINARY_EXP = 300
 
-def _column_energy(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared column norms of a validated A and their sum ||A||_F^2."""
+
+def _prescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """A 2^-e and e for a validated A: e = 0, and A itself, while its
+    largest entry lies within 2^+-_ORDINARY_EXP; else the exponent that
+    takes that entry into [1/2, 1). Exact, so sums of squares of A 2^-e
+    are those of A times 2^-2e, without overflow or underflow."""
+    e = int(np.frexp(max(a.max(), -a.min()))[1])
+    if abs(e) <= _ORDINARY_EXP:
+        return a, 0
+    return np.ldexp(a, -e), e
+
+
+def _column_energy(a: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Squared column norms of a validated A 2^-e, their sum ||A 2^-e||_F^2,
+    and the exponent e of `_prescaled`."""
+    a, e = _prescaled(a)
     col_sq = np.sum(a * a, axis=0)
     total = float(col_sq.sum())
     if total == 0.0:
         raise ZeroMatrix("all columns are zero")
-    return col_sq, total
+    return col_sq, total, e
+
+
+def _finite(m: np.ndarray, what: str) -> np.ndarray:
+    """m, or InvalidSpec when the product `what` overflowed float64."""
+    if not np.isfinite(m).all():
+        raise InvalidSpec(f"{what} overflows float64; scale A down first")
+    return m
 
 
 def column_probabilities(a) -> np.ndarray:
@@ -45,7 +74,7 @@ def column_probabilities(a) -> np.ndarray:
 
     These satisfy the sampling floor for every beta <= 1.
     """
-    col_sq, total = _column_energy(as_matrix(a))
+    col_sq, total, _ = _column_energy(as_matrix(a))
     return col_sq / total
 
 
@@ -53,7 +82,7 @@ def uniform_probabilities(a) -> tuple[np.ndarray, float]:
     """Uniform probabilities plus the largest beta they satisfy the floor for."""
     a = as_matrix(a)
     n = a.shape[1]
-    col_sq, total = _column_energy(a)
+    col_sq, total, _ = _column_energy(a)
     effective_beta = float(total / (n * col_sq.max()))
     return np.full(n, 1.0 / n), min(1.0, effective_beta)
 
@@ -71,15 +100,18 @@ class ColumnSampler:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.shape[0] < 1:
             raise InvalidSpec("probs must be a nonempty 1-D array")
-        if (p < 0.0).any():
-            raise InvalidSpec("probs must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        # Negated comparisons, so that NaN fails each check too.
+        if not (p >= 0.0).all():
+            raise InvalidSpec("probs must be nonnegative, with no NaN")
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise InvalidSpec(f"probs must sum to 1, got {p.sum()!r}")
-        if self.c < 1:
-            raise InvalidSpec(f"need c >= 1, got {self.c}")
+        c = check_integer(self.c, "c")
+        if c < 1:
+            raise InvalidSpec(f"need c >= 1, got {c}")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidSpec(f"beta must be in (0, 1], got {self.beta}")
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def norm_squared(cls, a, c: int) -> "ColumnSampler":
@@ -88,9 +120,10 @@ class ColumnSampler:
 
     def validate_floor(self, a) -> float:
         """Check p_i >= beta ||A^(i)||^2 / ||A||_F^2 for every column and
-        return M = max_i ||A^(i)|| / sqrt(p_i), the worst-case draw norm."""
+        return M = max_i ||A^(i)|| / sqrt(p_i), the worst-case draw norm.
+        InvalidSpec when M itself overflows float64."""
         a = _matched(a, self)
-        col_sq, total = _column_energy(a)
+        col_sq, total, e = _column_energy(a)
         floor = self.beta * col_sq / total
         if (self.probs < floor - _FLOOR_SLACK).any():
             worst = int(np.argmax(floor - self.probs))
@@ -99,7 +132,7 @@ class ColumnSampler:
                 f"p={self.probs[worst]:.3e} < {floor[worst]:.3e}"
             )
         live = self.probs > 0.0
-        return float(np.sqrt((col_sq[live] / self.probs[live]).max()))
+        return _scaled_back(math.sqrt((col_sq[live] / self.probs[live]).max()), e, "M")
 
 
 def _matched(a, sampler: ColumnSampler) -> np.ndarray:
@@ -143,7 +176,9 @@ def approx_gram(a, sampler: ColumnSampler, seed: int) -> np.ndarray:
     # Most draws hit every column; A itself then gives the gather's bytes
     # in any layout, without copying it.
     cols = a if live.all() else a[:, live]
-    return (cols * weights) @ cols.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (cols * weights) @ cols.T
+    return _finite(g, "C C^T")
 
 
 def c_lower_bound(frob_sq: float, beta: float, eps: float, delta: float) -> int:
@@ -166,11 +201,20 @@ def c_lower_bound(frob_sq: float, beta: float, eps: float, delta: float) -> int:
     return math.ceil(base * math.log(base / math.sqrt(delta)))
 
 
+def _scaled_back(value: float, e: int, what: str) -> float:
+    """value 2^e, or InvalidSpec when it overflows float64."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise InvalidSpec(f"{what} overflows float64; scale A down first") from None
+
+
 def spectral_norm_estimate(a) -> float:
-    """||A||_2 from the symmetric eigensolve of the smaller-side Gram matrix."""
-    a = as_matrix(a)
+    """||A||_2 from the symmetric eigensolve of the smaller-side Gram matrix
+    of A 2^-e (`_prescaled`), times 2^e: any finite A whose norm is finite."""
+    a, e = _prescaled(as_matrix(a))
     gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    return math.sqrt(max(spectral_norm_sym(gram), 0.0))
+    return _scaled_back(math.sqrt(max(spectral_norm_sym(gram), 0.0)), e, "||A||_2")
 
 
 def rescale_to_unit_spectral(a) -> np.ndarray:
@@ -203,7 +247,9 @@ def theory_sample_size(a, eps: float, delta: float, sampler: ColumnSampler) -> i
 def matmul_error(a, c_mat) -> float:
     """Spectral norm of A A^T - C C^T."""
     c_mat = as_matrix(c_mat)
-    return gram_error(a, c_mat @ c_mat.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cct = c_mat @ c_mat.T
+    return gram_error(a, _finite(cct, "C C^T"))
 
 
 def gram_error(a, gram) -> float:
@@ -215,4 +261,6 @@ def gram_error(a, gram) -> float:
         raise DimensionMismatch(
             f"Gram estimate must be {a.shape[0]} x {a.shape[0]}, got {gram.shape}"
         )
-    return spectral_norm_sym(as_symmetric(a @ a.T) - gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        aat = _finite(a @ a.T, "A A^T")
+    return spectral_norm_sym(as_symmetric(aat) - gram)

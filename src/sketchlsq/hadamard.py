@@ -1,7 +1,8 @@
 """Normalized Walsh-Hadamard transform with random sign flips.
 
-The full transform is an iterative in-place butterfly that halves the
-stride each stage (largest stride first), costing O(n log2 n) per column.
+The full transform (`apply_rht`; `fwht_normalized` is the same call with
+every sign +1) is an iterative in-place butterfly that halves the stride
+each stage (largest stride first), costing O(n log2 n) per column.
 `partial_rht_rows` evaluates only a requested subset of output rows by
 descending the same butterfly and skipping blocks that contain no requested
 row, which costs O(n log2 r) for r rows. Because the pruned descent performs
@@ -203,16 +204,11 @@ def fwht_normalized(x) -> np.ndarray:
 
     Accepts a vector or a matrix of column vectors; the length must be a
     power of two. The normalized transform is orthogonal and involutive:
-    applying it twice recovers the input.
+    applying it twice recovers the input. It is `apply_rht` with every
+    sign +1, which multiplies each entry by exactly 1.
     """
-    arr, was_vector = _as_columns(x, "input")
-    n = arr.shape[0]
-    _require_pow2(n)
-    _require_finite(arr)
-    work = arr.copy()
-    _butterfly(work)
-    work *= _scale(n)
-    return work[:, 0] if was_vector else work
+    n = _as_columns(x, "input")[0].shape[0]
+    return apply_rht(x, SignDiagonal(signs=np.ones(n), seed=0, label="unit"))
 
 
 def apply_rht(a, d_signs: SignDiagonal) -> np.ndarray:

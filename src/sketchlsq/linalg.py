@@ -13,7 +13,7 @@ factorizations, each where it pays:
     BLAS-3 CholeskyQR pass after A R_s^-1 and returns R too: 10-11 ms at
     2^14 x 50 on a 2-vCPU VM, plus 5 ms for the R of a 3461-row sketch.
     Without R_s, or when that pass fails, it is `qr_factor`: 35-51 ms
-    there, against 13-20 ms for the shifted CholeskyQR3 it replaced.
+    there.
 
 All functions are pure: inputs are validated (finite entries, compatible
 shapes) and never mutated, so concurrent calls on shared arrays are safe.

@@ -62,12 +62,7 @@ def _range_basis(spec: ProblemSpec) -> np.ndarray:
         # Dominant identity block concentrates the row norms of the basis
         # on the first d rows, the regime uniform sampling cannot handle
         # without the randomized transform.
-        raw += np.vstack(
-            [
-                _COHERENT_SPIKE * math.sqrt(spec.n) * np.eye(spec.d),
-                np.zeros((spec.n - spec.d, spec.d)),
-            ]
-        )
+        raw[: spec.d] += _COHERENT_SPIKE * math.sqrt(spec.n) * np.eye(spec.d)
     return qr_factor(raw).q
 
 

@@ -190,7 +190,8 @@ class SamplingPlan:
             lo, hi = int(self.indices.min()), int(self.indices.max())
             if lo < 0 or hi >= self.n:
                 raise InvalidSpec(f"indices must lie in [0, {self.n})")
-        if abs(self.scale * self.scale * self.r - self.n) > 1e-12 * self.n:
+        # Written as `not x <= bound` so that a NaN scale fails too.
+        if not abs(self.scale * self.scale * self.r - self.n) <= 1e-12 * self.n:
             raise InvalidSpec("scale^2 * r must equal n")
 
 
@@ -252,6 +253,8 @@ class SparseProjection:
             raise InvalidSpec("indptr must be non-decreasing")
         if self.cols.size and (self.cols.min() < 0 or self.cols.max() >= self.n):
             raise InvalidSpec(f"cols must lie in [0, {self.n})")
+        if not 0.0 < self.magnitude < math.inf:
+            raise InvalidSpec(f"magnitude must be positive and finite, got {self.magnitude}")
 
     @property
     def nnz(self) -> int:

@@ -241,3 +241,58 @@ def test_theory_sample_size_checks_hypotheses():
     assert c == c_lower_bound(frob_sq, 1.0, 0.5, 0.1)
     with pytest.raises(SpectralNormTooLarge):
         theory_sample_size(3.0 * a, eps=0.5, delta=0.1, sampler=sampler)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_energies_and_norm_at_extreme_entry_scales(power):
+    # At 2^600 the squares overflow float64, at 2^-600 they underflow to 0;
+    # both are taken from A scaled by one exact power of two instead.
+    a = np.random.default_rng(0).standard_normal((8, 64))
+    far = np.ldexp(a, power)
+    assert column_probabilities(far).tobytes() == column_probabilities(a).tobytes()
+    assert uniform_probabilities(far)[1] == uniform_probabilities(a)[1]
+    m = ColumnSampler.norm_squared(a, 10).validate_floor(a)
+    assert ColumnSampler.norm_squared(far, 10).validate_floor(far) == math.ldexp(m, power)
+    norm = math.ldexp(spectral_norm_estimate(a), power)
+    assert spectral_norm_estimate(far) == pytest.approx(norm, rel=4 * np.finfo(float).eps)
+    assert spectral_norm_estimate(rescale_to_unit_spectral(far)) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_norms_past_float64_raise_a_named_error():
+    # ||A||_F = ||A||_2 = 2^1024.5 for this rank-one A: past the largest double.
+    a = np.full((8, 64), 2.0**1020)
+    sampler = ColumnSampler.norm_squared(a, 10)
+    with pytest.raises(InvalidSpec, match="M overflows"):
+        sampler.validate_floor(a)
+    with pytest.raises(InvalidSpec, match=r"\|\|A\|\|_2 overflows"):
+        spectral_norm_estimate(a)
+
+
+def test_gram_products_that_overflow_raise_a_named_error():
+    a = np.ldexp(np.random.default_rng(0).standard_normal((8, 64)), 600)
+    with pytest.raises(InvalidSpec, match=r"C C\^T overflows"):
+        approx_gram(a, ColumnSampler.norm_squared(a, 10), 0)
+    with pytest.raises(InvalidSpec, match=r"C C\^T overflows"):
+        matmul_error(a, a)
+    with pytest.raises(InvalidSpec, match=r"A A\^T overflows"):
+        gram_error(a, np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize(
+    "probs, c, message",
+    [
+        ([np.nan, np.nan], 3, "nonnegative"),
+        ([0.5, np.nan], 3, "nonnegative"),
+        ([0.5, 0.5], 1.5, "c must be an integer"),
+        ([0.5, 0.5], True, "c must be an integer"),
+    ],
+    ids=["nan-probs", "one-nan", "fractional-c", "bool-c"],
+)
+def test_sampler_rejects_nan_probabilities_and_a_non_integer_c(probs, c, message):
+    with pytest.raises(InvalidSpec, match=message):
+        ColumnSampler(probs=np.array(probs), c=c, beta=1.0)
+
+
+def test_sampler_takes_a_numpy_integer_c_as_an_int():
+    sampler = ColumnSampler(probs=np.array([0.5, 0.5]), c=np.int64(3), beta=1.0)
+    assert type(sampler.c) is int and sampler.c == 3

@@ -1,5 +1,6 @@
 import json
 import re
+import statistics
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from sketchlsq import cli, ensembles
 from sketchlsq.bench import parse_report_csv
 from sketchlsq.ensembles import EnsembleResult
 from sketchlsq.matrix_io import load_matrix_csv, save_matrix_csv
+from sketchlsq.problems import KIND_GAUSSIAN, ProblemSpec, gen_problem
+from sketchlsq.sketches import SketchParams
+from sketchlsq.solver import sketch_solve_best_of
 
 
 def test_solve_generated_problem(capsys):
@@ -75,6 +79,49 @@ def test_solve_cgnr_prints_the_sampling_size(capsys):
     code = cli.main(["solve", "--n", "256", "--d", "4", "--method", "cgnr", "--r", "64"])
     assert code == 0
     assert "method=cgnr n=256 d=4 r=64 seed=0" in capsys.readouterr().out
+
+
+def test_solve_projection_prints_the_practical_k_and_q(capsys):
+    code = cli.main(["solve", "--n", "512", "--d", "4", "--method", "projection"])
+    assert code == 0
+    params = SketchParams.practical(512, 4, 0.5)
+    line = f"method=projection n=512 d=4 k={params.k} q={params.q:.4g} seed=0"
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_solve_seeds_summary_and_json_hold_the_best_seed(tmp_path, capsys):
+    out_path = tmp_path / "x.json"
+    code = cli.main(
+        ["solve", "--n", "256", "--d", "4", "--r", "32", "--seed", "5", "--seeds", "4",
+         "--out", str(out_path), "--format", "json"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    seeds = [int(s) for s in re.findall(r"^method=sampling .* seed=(\d+)$", out, re.MULTILINE)]
+    residuals = [float(r) for r in re.findall(r"^residual=(\S+)$", out, re.MULTILINE)]
+    assert seeds == [5, 6, 7, 8] and len(residuals) == 4
+    summary = re.search(r"^summary: seeds=4 min=(\S+) median=(\S+) max=(\S+)$", out, re.MULTILINE)
+    assert [float(v) for v in summary.groups()] == pytest.approx(
+        [min(residuals), statistics.median(residuals), max(residuals)], rel=1e-9
+    )
+    saved = json.loads(out_path.read_text())
+    assert saved["schema_version"] == 1
+    problem = gen_problem(ProblemSpec(KIND_GAUSSIAN, 256, 4, 10.0, 0.9, 0))
+    params = SketchParams.with_overrides(256, 4, 0.5, r=32)
+    best = seeds[residuals.index(min(residuals))]
+    x = sketch_solve_best_of(problem, params, best).x_tilde
+    assert np.array(saved["x"]).tobytes() == x.tobytes()
+
+
+def test_solve_two_column_rhs_exits_1(tmp_path, capsys):
+    save_matrix_csv(np.eye(4, 2), tmp_path / "a.csv")
+    save_matrix_csv(np.ones((4, 2)), tmp_path / "b.csv")
+    code = cli.main(
+        ["solve", "--matrix", str(tmp_path / "a.csv"), "--rhs", str(tmp_path / "b.csv"),
+         "--method", "exact"]
+    )
+    assert code == 1
+    assert "error: rhs file must have one column, got 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

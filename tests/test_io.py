@@ -31,6 +31,12 @@ def test_save_load_bitwise(tmp_path):
     assert back.tobytes() == m.tobytes()
 
 
+def test_blank_rows_are_skipped(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("\n1,2\n\n\n3,4\n\n")
+    assert load_matrix_csv(path).tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+
+
 def test_header_flag(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("colA,colB\n1,2\n")

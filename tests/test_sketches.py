@@ -193,6 +193,11 @@ def test_plan_validation():
         SamplingPlan(n=8, r=2, indices=np.array([0, 1]), scale=1.0)
 
 
+def test_plan_rejects_a_nan_scale():
+    with pytest.raises(InvalidSpec, match="scale"):
+        SamplingPlan(n=4, r=2, indices=np.array([0, 1]), scale=math.nan)
+
+
 def test_identity_plan_is_exact():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((16, 3))
@@ -550,9 +555,14 @@ def _one_per_row(**fields):
         ({"signs": np.ones(3)}, "equal length"),
         ({"cols": np.array([0, 1, 8, 3])}, "cols must lie in"),
         ({"cols": np.array([0, -1, 2, 3])}, "cols must lie in"),
+        ({"magnitude": math.nan}, "magnitude must be positive and finite"),
+        ({"magnitude": -1.0}, "magnitude must be positive and finite"),
+        ({"magnitude": 0.0}, "magnitude must be positive and finite"),
+        ({"magnitude": math.inf}, "magnitude must be positive and finite"),
     ],
     ids=["indptr-shape", "indptr-start", "indptr-end", "indptr-decreasing",
-         "signs-length", "col-above-n", "col-negative"],
+         "signs-length", "col-above-n", "col-negative", "magnitude-nan",
+         "magnitude-negative", "magnitude-zero", "magnitude-inf"],
 )
 def test_malformed_projection_raises(fields, message):
     with pytest.raises(InvalidSpec, match=message):
