@@ -178,6 +178,12 @@ def approx_gram(a, sampler: ColumnSampler, seed: int) -> np.ndarray:
     cols = a if live.all() else a[:, live]
     with np.errstate(over="ignore", invalid="ignore"):
         g = (cols * weights) @ cols.T
+    # C C^T is lost to underflow only when its largest diagonal entry,
+    # ||C||_F^2 within a factor of its row count, lies below float64's
+    # smallest normal while C is nonzero: a row that underflows beside a
+    # normal one moves the estimate by far less than its eps ||A||_F^2.
+    if np.diagonal(g).max() < np.finfo(np.float64).tiny and cols.any():
+        raise InvalidSpec("C C^T underflows float64; scale A up first")
     return _finite(g, "C C^T")
 
 

@@ -1,50 +1,53 @@
 """Normalized Walsh-Hadamard transform with random sign flips.
 
-The full transform (`apply_rht`; `fwht_normalized` is the same call with
-every sign +1) is an iterative in-place butterfly that halves the stride
-each stage (largest stride first), costing O(n log2 n) per column.
-`partial_rht_rows` evaluates only a requested subset of output rows by
-descending the same butterfly and skipping blocks that contain no requested
-row, which costs O(n log2 r) for r rows. Because the pruned descent performs
-exactly the additions the full butterfly would, the two paths agree
-bit-for-bit.
+The Sylvester matrix factors as H_ab = H_a (x) H_b (Van Loan, 1992), so
+`_transform` runs one batched GEMM by the dense +-1 matrix H_L,
+H_L[i, j] = (-1)^popcount(i & j), per radix digit L <= 2^_RADIX_BITS of
+the row index. The rows split into cache blocks of at most `_BLOCK`
+elements. The digits that mix blocks run first, on one column chunk of
+every block at a time; then each block runs the rest. Every GEMM writes a
+buffer other than its input, ping-ponging with one scratch buffer of about
+`_BLOCK` elements, so a transform makes two passes over memory and needs
+no second copy of the signed work array.
 
-Both are cache-blocked. The rows split into cache blocks of `_BLOCK`
-elements. The stages whose stride spans whole cache blocks run together on
-one cache-sized slice of every block at a time; the remaining stages then
-run block by block, and the pruned descent skips blocks without a requested
-row. Each stage updates (top, bottom) in place through one scratch buffer,
-so a transform makes about two passes over memory instead of one per stage.
-Every element sees the same additions in the same stage order as the plain
-stage-by-stage butterfly, so the results are bit-for-bit the same.
+OpenBLAS rounds a GEMM whose column count is not a multiple of 8
+differently at 1 and at 2 threads, so `_gemm` splits such a product into
+a multiple of 8 columns and a remainder too small to thread. The rule is
+empirical, from how OpenBLAS splits the columns among its threads: the
+bytes were measured the same at 1, 2, 3 and 4 BLAS threads.
 
-The full transform runs on every core (`workers.split`): first the
-outer-stage chunks, then the cache blocks, are shared out as one
-contiguous run per worker, each worker with its own scratch. The runs touch
-disjoint rows, so the bytes do not depend on the core count. A transform
-that fits one cache block, and an object array (its elements run Python),
-stay on the calling thread. The pruned descent stays serial too: OpenBLAS
-leaves its idle thread spinning on the other core for a while after each
-multithreaded BLAS call, so a threaded descent slowed from 0.034 s to
-0.048 s when it ran right after the solver's QR (2^17 x 31, r = 2265), and
-lost end to end.
+`partial_rht_rows` slices its rows from the same full output, so it is
+bit-identical to slicing `apply_rht` by construction. `_butterfly` and
+`_pruned_rows` (its rows-only descent) stay as serial references: the
+tests compare the GEMMs against them, and the benchmark counts their
+additions as its model of the transform's work.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidSpec, NotPowerOfTwo
 from .rng import stream
 
-# Above 1/_PRUNE_FRACTION of the rows requested, the pruned descent stops
-# paying for its bookkeeping; fall back to the full transform and slice.
+# Above 1/_PRUNE_FRACTION of the rows requested, `partial_rht_rows` calls
+# `apply_rht` and slices; below it, it runs `_transform` itself. The
+# benchmark's span counts pin that split.
 _PRUNE_FRACTION = 6
 
-# Elements in one cache block: 1 MB of float64, half of a 2 MB L2.
-_BLOCK = 1 << 17
+# Elements in one cache block: 512 KB of float64, so a block and its
+# scratch buffer fit in half of a 2 MB L2.
+_BLOCK = 1 << 16
+
+# Largest radix digit: H_16. H_32 spends 1.6x the flops per bit and ran
+# slower on a 2-vCPU Xeon (2 MB L2 per core).
+_RADIX_BITS = 4
+
+# GEMM column counts that are a multiple of this gave the same bytes at
+# 1, 2, 3 and 4 BLAS threads (measured; see the module docstring).
+_ALIGN = 8
 
 
 @dataclass(frozen=True)
@@ -84,27 +87,72 @@ def _require_finite(arr: np.ndarray):
         raise InvalidSpec("input contains NaN or Inf entries")
 
 
-def _pow2_floor(x: int) -> int:
-    return 1 << (max(1, x).bit_length() - 1)
+@functools.cache
+def _sylvester(size: int) -> np.ndarray:
+    """The unnormalized size x size Sylvester-Hadamard matrix."""
+    h = np.ones((1, 1))
+    while h.shape[0] < size:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
-def _blocking(n: int, d: int) -> tuple[int, int]:
-    """Rows per cache block and chunk width of the outer stages.
-
-    A cache block is the largest power-of-two run of rows that fits in
-    `_BLOCK` elements. The outer stages see the array as (blocks, rows, d)
-    and work on `width` rows of the middle axis at a time, chosen so one
-    chunk across all blocks also fits in `_BLOCK` elements.
-    """
-    rows = min(n, _pow2_floor(_BLOCK // d))
-    width = min(rows, _pow2_floor(_BLOCK // (n // rows * d)))
-    return rows, width
+def _radices(count: int) -> list[int]:
+    """Digit sizes, most significant first, whose product is `count` (a
+    power of two): as few digits as `_RADIX_BITS` allows, as even as can be."""
+    bits = count.bit_length() - 1
+    parts = -(-bits // _RADIX_BITS)
+    return [1 << (bits * (k + 1) // parts - bits * k // parts) for k in range(parts)]
 
 
-def _scratch(work: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """Room for half a cache block or half an outer-stage chunk."""
+def _gemm(h: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """dst = h @ src on every matrix of the stacks, as a multiple of
+    `_ALIGN` columns and a remainder (see the module docstring)."""
+    cut = src.shape[-1] - src.shape[-1] % _ALIGN
+    if cut and cut < src.shape[-1]:
+        np.matmul(h, src[..., :cut], out=dst[..., :cut])
+        np.matmul(h, src[..., cut:], out=dst[..., cut:])
+    else:
+        np.matmul(h, src, out=dst)
+
+
+def _digits(x: np.ndarray, spare: np.ndarray):
+    """x <- H x along axis 0, one GEMM per radix digit, ping-ponging
+    between x and `spare` (contiguous, x's shape). Row index i splits as
+    (outer, digit, inner); a C-contiguous x runs the inner rows and the
+    columns together as one wide matrix."""
+    rows, width = x.shape
+    src, dst = x, spare
+    outer = 1
+    for size in _radices(rows):
+        inner = rows // (outer * size)
+        if x.flags.c_contiguous:
+            shape, axes = (outer, size, inner * width), (0, 1, 2)
+        else:
+            shape, axes = (outer, size, inner, width), (0, 2, 1, 3)
+        h = _sylvester(size)
+        _gemm(h, src.reshape(shape).transpose(axes), dst.reshape(shape).transpose(axes))
+        outer *= size
+        src, dst = dst, src
+    if src is not x:
+        x[...] = src
+
+
+def _transform(work: np.ndarray):
+    """Unnormalized Hadamard transform of `work` (C-contiguous) along
+    axis 0, in place: the top digits by column chunks of every cache block,
+    then the rest block by block (see the module docstring)."""
     n, d = work.shape
-    return np.empty(max(rows, n // rows * width) * d // 2, dtype=work.dtype)
+    rows = min(n, 1 << (max(1, _BLOCK // d).bit_length() - 1))
+    blocks = n // rows
+    width = min(rows * d, max(_ALIGN, _BLOCK // blocks))
+    scratch = np.empty(max(rows * d, blocks * width), dtype=work.dtype)
+    if blocks > 1:
+        across = work.reshape(blocks, rows * d)
+        for lo in range(0, rows * d, width):
+            chunk = across[:, lo : lo + width]
+            _digits(chunk, scratch[: chunk.size].reshape(chunk.shape))
+    for block in work.reshape(blocks, rows, d):
+        _digits(block, scratch[: block.size].reshape(block.shape))
 
 
 def _stage(top: np.ndarray, bot: np.ndarray, scratch: np.ndarray):
@@ -115,75 +163,18 @@ def _stage(top: np.ndarray, bot: np.ndarray, scratch: np.ndarray):
     bot[...] = diff
 
 
-def _outer_stages(blocks, width, scratch, live_blocks=None):
-    """The stages whose stride is a whole cache block or more, in place.
-
-    `blocks` is the array viewed as (nblocks, rows, d), or a run of its
-    middle axis. These stages mix only along the first axis, so all of them
-    run on one `width`-row slice of the middle axis before the next slice
-    is touched. With `live_blocks` (sorted cache-block ids), a stage
-    updates only the butterfly blocks that contain one of them, as the
-    pruned descent does.
-    """
-    nblocks, rows, d = blocks.shape
-    stages = []
-    m = nblocks
-    while m > 1:
-        live = None
-        if live_blocks is not None:
-            live = np.unique(live_blocks // m)
-            if live.shape[0] == nblocks // m:
-                live = None
-        stages.append((m, live))
-        m //= 2
-    for j in range(0, rows, width):
-        for m, live in stages:
-            h = m // 2
-            v = blocks.reshape(nblocks // m, 2, h, rows, d)[:, :, :, j : j + width]
-            if live is None:
-                _stage(v[:, 0], v[:, 1], scratch)
-            else:
-                sub = v[live]
-                _stage(sub[:, 0], sub[:, 1], scratch)
-                v[live] = sub
-
-
-def _inline(fn, count: int):
-    fn(0, count)
-
-
 def _butterfly(work: np.ndarray):
-    """Unnormalized Hadamard butterfly along axis 0, in place.
-
-    Stage stride runs n/2, n/4, ..., 1, so each block update is
-    (top + bottom, top - bottom) and output rows land in natural order.
-    The stages whose stride spans whole cache blocks run first, a chunk at a
-    time; the rest then run one cache block at a time. Within each phase
-    the chunks, and then the cache blocks, are shared out across the
-    workers, each with its own scratch.
-    """
+    """Reference: the unnormalized Hadamard butterfly along axis 0, in
+    place, stage by stage. Stage stride runs n/2, n/4, ..., 1, so each
+    block update is (top + bottom, top - bottom) and output rows land in
+    natural order."""
     n, d = work.shape
-    rows, width = _blocking(n, d)
-    blocks = work.reshape(n // rows, rows, d)
-
-    def outer(lo, hi):
-        scratch = _scratch(work, rows, width)
-        _outer_stages(blocks[:, lo * width : hi * width], width, scratch)
-
-    def inner(lo, hi):
-        scratch = _scratch(work, rows, width)
-        for block in blocks[lo:hi]:
-            h = rows // 2
-            while h >= 1:
-                w = block.reshape(-1, 2, h, d)
-                _stage(w[:, 0], w[:, 1], scratch)
-                h //= 2
-
-    # Object arrays run Python on every element and may count shared state.
-    run = _inline if work.dtype == object else workers.split
-    if n > rows:
-        run(outer, rows // width)
-    run(inner, n // rows)
+    scratch = np.empty(n * d // 2, dtype=work.dtype)
+    h = n // 2
+    while h >= 1:
+        w = work.reshape(-1, 2, h, d)
+        _stage(w[:, 0], w[:, 1], scratch)
+        h //= 2
 
 
 def _scale(n: int) -> float:
@@ -219,72 +210,28 @@ def apply_rht(a, d_signs: SignDiagonal) -> np.ndarray:
     if n != d_signs.n:
         raise DimensionMismatch(f"matrix has {n} rows, diagonal has {d_signs.n}")
     _require_finite(arr)
-    work = arr * d_signs.signs[:, None]
-    _butterfly(work)
+    work = np.multiply(arr, d_signs.signs[:, None], order="C")  # `_transform` needs C order
+    _transform(work)
     work *= _scale(n)
     return work[:, 0] if was_vector else work
 
 
-def _descend(block: np.ndarray, wanted: np.ndarray, scratch: np.ndarray, out: np.ndarray):
-    """Write rows `wanted` (sorted, unique, local) of the butterfly of one
-    cache block into `out`, updating only blocks that hold a wanted row.
-
-    Each stage rewrites every live butterfly block in place as
-    (top + bottom | top - bottom), exactly the full butterfly stage, and
-    then drops dead children, copying only when something actually died.
-    Children stay in ascending block order, so the surviving length-1
-    blocks come out in the order of `wanted`.
-    """
-    m, d = block.shape
-    blocks = block.reshape(1, m, d)
-    # Live block ids at the current stage, ascending; block id b at size m
-    # covers rows [b*m, (b+1)*m) of the cache block.
-    parents = np.zeros(1, dtype=np.int64)
-    while m > 1:
-        h = m // 2
-        nblk = blocks.shape[0]
-        _stage(blocks[:, :h, :], blocks[:, h:, :], scratch)
-        children = blocks.reshape(nblk * 2, h, d)
-        kid_of_row = wanted >> (h.bit_length() - 1)
-        if kid_of_row.shape[0] == 1:
-            kids = kid_of_row
-        else:
-            keep = np.empty(kid_of_row.shape[0], dtype=bool)
-            keep[0] = True
-            np.not_equal(kid_of_row[1:], kid_of_row[:-1], out=keep[1:])
-            kids = kid_of_row[keep]
-        if kids.shape[0] == children.shape[0]:
-            blocks = children
-        else:
-            pos = np.searchsorted(parents, kids >> 1)
-            blocks = children[pos * 2 + (kids & 1)]
-        parents = kids
-        m = h
-    out[...] = blocks[:, 0, :]
-
-
 def _pruned_rows(work: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Rows `wanted` (sorted, unique) of the unnormalized butterfly of `work`.
-
-    Consumes `work`. The outer stages run as in `_butterfly`, restricted to
-    butterfly blocks that hold a wanted row; then each cache block that
-    holds one runs the pruned descent on its own rows, and the others are
-    skipped. Every output comes from the additions the full butterfly
-    would perform, so the two agree bit for bit.
-    """
-    n, d = work.shape
-    rows, width = _blocking(n, d)
-    scratch = _scratch(work, rows, width)
-    block_of = wanted // rows
-    _outer_stages(work.reshape(n // rows, rows, d), width, scratch, live_blocks=block_of)
-    out = np.empty((wanted.shape[0], d), dtype=work.dtype)
-    firsts = np.flatnonzero(np.diff(block_of, prepend=-1))
-    for first, last in zip(firsts, [*firsts[1:], wanted.shape[0]]):
-        start = int(block_of[first]) * rows
-        _descend(
-            work[start : start + rows], wanted[first:last] - start, scratch, out[first:last]
-        )
-    return out
+    """Reference: rows `wanted` (sorted, unique) of the unnormalized
+    butterfly of `work`, which it consumes. Each stage runs on the live
+    blocks only, those that hold a wanted row, as the full butterfly does;
+    children stay in ascending order, so the length-1 blocks left at the
+    end come out in the order of `wanted`."""
+    m, d = work.shape
+    scratch = np.empty(m * d // 2, dtype=work.dtype)
+    blocks, parents = work.reshape(1, m, d), np.zeros(1, dtype=np.int64)
+    while m > 1:
+        m //= 2
+        _stage(blocks[:, :m], blocks[:, m:], scratch)
+        kids = np.unique(wanted // m)
+        blocks = blocks.reshape(-1, m, d)[np.searchsorted(parents, kids >> 1) * 2 + (kids & 1)]
+        parents = kids
+    return blocks[:, 0]
 
 
 def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
@@ -292,8 +239,10 @@ def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
 
     `rows` are integers (an empty request may have any dtype); they may
     repeat and need not be sorted, and the output row order matches the
-    request. Falls back to the full transform when more than a sixth
-    of all rows are requested.
+    request. Above a sixth of all rows requested it calls `apply_rht` and
+    slices; below, it runs the same transform itself and checks only the
+    rows it returns. The benchmark's span counts pin that split; once the
+    benchmark stops pinning it, one branch can go.
     """
     arr, was_vector = _as_columns(a, "matrix")
     n = arr.shape[0]
@@ -307,19 +256,17 @@ def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
         return np.empty(0) if was_vector else np.empty((0, arr.shape[1]))
     if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
         raise IndexOutOfRange(f"row indices must be integers in [0, {n})")
-    wanted, inverse = np.unique(rows.astype(np.int64, copy=False), return_inverse=True)
-    if wanted.size > n // _PRUNE_FRACTION:
-        full = apply_rht(arr, d_signs)
-        out = full[rows]
+    if np.unique(rows).size > n // _PRUNE_FRACTION:
+        out = apply_rht(arr, d_signs)[rows]
     else:
-        work = arr * d_signs.signs[:, None]
+        work = np.multiply(arr, d_signs.signs[:, None], order="C")  # `_transform` needs C order
         # Every output row is a +-1 sum of every input row, so a NaN or Inf
         # anywhere in the input reaches the output: check the few rows out,
         # and scan the input only to name the cause (inf - inf is NaN).
         with np.errstate(invalid="ignore"):
-            out = _pruned_rows(work, wanted)
+            _transform(work)
+            out = work[rows]
         out *= _scale(n)
         if not np.isfinite(out).all():
             _require_finite(arr)
-        out = out[inverse]
     return out[:, 0] if was_vector else out

@@ -1,10 +1,12 @@
-"""One worker per core for numpy and scipy loops that release the GIL.
+"""One worker per core for scipy's sparse product, which releases the GIL.
 
 `split(fn, count)` cuts range(count) into one contiguous run per worker
 and calls fn(lo, hi) on each: the first run on the calling thread, the
 others on a pool of WORKERS - 1 threads, started on first use. WORKERS is
-the number of cores this process may run on. Callers hand it only work
-whose runs touch disjoint memory, so each element sees the same
+the number of cores this process may run on. Its one caller is the CSR
+product `sketches.apply_sparse_projection`; the Hadamard transform shares
+its GEMMs out through BLAS's own threads instead. Callers hand it only
+work whose runs touch disjoint memory, so each element sees the same
 operations in the same order however the runs are shared out, and the
 bytes do not depend on the core count. Runs call only numpy, scipy's
 public sparse product and private helpers, never a function the solver

@@ -5,6 +5,7 @@ import pytest
 import sketchlsq.bench as bench
 import sketchlsq.cli as cli
 import sketchlsq.ensembles as ensembles
+import sketchlsq.hadamard as hadamard
 import sketchlsq.solver as solver
 from oracles import (
     cholesky_qr3_orthonormal_basis,
@@ -12,6 +13,7 @@ from oracles import (
     householder_exact_outcome,
     householder_orthonormal_basis,
     householder_solve_exact_ls,
+    reference_butterfly,
     sketched_xu_diagnostics,
     two_transform_diagnostics,
 )
@@ -66,3 +68,11 @@ def sketched_xu(monkeypatch):
     preconditioned by the sketch's R, X U = (X H D A)(U^T A)^-1, so that
     digests taken on it keep their meaning."""
     monkeypatch.setattr(solver, "_diagnostics", sketched_xu_diagnostics)
+
+
+@pytest.fixture
+def butterfly_transform(monkeypatch):
+    """Make every Hadamard transform the stage-by-stage butterfly it was
+    before the GEMM kernel, so that digests taken on it keep their
+    meaning."""
+    monkeypatch.setattr(hadamard, "_transform", reference_butterfly)

@@ -278,6 +278,44 @@ def test_gram_products_that_overflow_raise_a_named_error():
         gram_error(a, np.zeros((8, 8)))
 
 
+@pytest.mark.parametrize("scale", [2.0**-600, 1e-170])
+def test_gram_products_that_underflow_raise_a_named_error(scale):
+    # The entries of C C^T (~1e-338 at 1e-170) lie below float64's normal
+    # range; they used to come back as an all-zero estimate, with no error.
+    a = np.random.default_rng(0).standard_normal((8, 64)) * scale
+    with pytest.raises(InvalidSpec, match=r"C C\^T underflows"):
+        approx_gram(a, ColumnSampler.norm_squared(a, 10), 3)
+
+
+def test_gram_products_inside_the_normal_range_scale_exactly():
+    # At 2^-300 the entries of C C^T are 2^-600 times those at scale 1, a
+    # power of two, so every byte follows; zero rows of A raise nothing.
+    a = np.random.default_rng(0).standard_normal((8, 64))
+    a[5] = 0.0
+    plain = approx_gram(a, ColumnSampler.norm_squared(a, 10), 3)
+    small = np.ldexp(a, -300)
+    got = approx_gram(small, ColumnSampler.norm_squared(small, 10), 3)
+    assert got.tobytes() == np.ldexp(plain, -600).tobytes()
+
+
+def test_one_underflowing_row_beside_normal_rows_keeps_its_estimate():
+    # Row 2 at 2^-530 (~3e-160): its diagonal of C C^T (~1e-318) falls
+    # below the normal range, but the estimate around it stays exact and
+    # that entry is off by at most a few subnormal spacings.
+    a = np.random.default_rng(0).standard_normal((8, 64))
+    sampler = ColumnSampler.norm_squared(a, 10)
+    plain = approx_gram(a, sampler, 3)
+    mixed = a.copy()
+    mixed[2] = np.ldexp(a[2], -530)
+    got = approx_gram(mixed, sampler, 3)
+    want = plain.copy()
+    want[2] = np.ldexp(plain[2], -530)
+    want[:, 2] = np.ldexp(plain[:, 2], -530)
+    want[2, 2] = got[2, 2]
+    assert got.tobytes() == want.tobytes()
+    assert abs(got[2, 2] - plain[2, 2] * 2.0**-1060) <= 64 * 2.0**-1074
+
+
 @pytest.mark.parametrize(
     "probs, c, message",
     [

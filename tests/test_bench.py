@@ -228,12 +228,12 @@ def _cold_path_corpus() -> list:
     return parts
 
 
-def test_cold_path_bytes_pinned(frozen_projection_draw, householder_solve):
+def test_cold_path_bytes_pinned(frozen_projection_draw, householder_solve, butterfly_transform):
     digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
     assert digest == _PINNED_COLD_PATH_DIGEST
 
 
-def test_cold_path_bytes_pinned_on_the_skip_draw(householder_solve):
+def test_cold_path_bytes_pinned_on_the_skip_draw(householder_solve, butterfly_transform):
     digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
     assert digest == _PINNED_SKIP_DRAW_COLD_PATH_DIGEST
 
@@ -250,11 +250,25 @@ _PINNED_STACKED_R_SKIP_DRAW_COLD_PATH_DIGEST = (
 )
 
 
-def test_cold_path_bytes_pinned_on_the_stacked_r(frozen_projection_draw):
+def test_cold_path_bytes_pinned_on_the_stacked_r(frozen_projection_draw, butterfly_transform):
     digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
     assert digest == _PINNED_STACKED_R_COLD_PATH_DIGEST
 
 
-def test_cold_path_bytes_pinned_on_the_skip_draw_and_the_stacked_r():
+def test_cold_path_bytes_pinned_on_the_skip_draw_and_the_stacked_r(butterfly_transform):
     digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
     assert digest == _PINNED_STACKED_R_SKIP_DRAW_COLD_PATH_DIGEST
+
+
+# The four cold-path digests above were computed on the stage-by-stage
+# butterfly (now `reference_butterfly`, through the `butterfly_transform`
+# fixture); their twin pins the GEMM transform on the current route, the
+# same at 1, 2, 3 and 4 BLAS threads.
+_PINNED_GEMM_COLD_PATH_DIGEST = (
+    "b1c2d4400412111bff197b22fc454e4a1132abc46fc33772e6465b3429649157"
+)
+
+
+def test_cold_path_bytes_pinned_on_the_gemm_transform():
+    digest = hashlib.sha256(repr(_cold_path_corpus()).encode()).hexdigest()
+    assert digest == _PINNED_GEMM_COLD_PATH_DIGEST

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,8 @@ from sketchlsq.problems import KIND_GAUSSIAN, ProblemSpec, gen_problem
 from sketchlsq.rng import stream
 from sketchlsq.sketches import SketchParams
 from sketchlsq.solver import sketch_solve_sampling
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_fwht_two_point():
@@ -84,12 +91,27 @@ def test_pruned_rows_scan_the_input_only_when_the_output_is_not_finite(monkeypat
     assert scans == [(256, 2)]
 
 
+def _ulp_bound(n: int) -> float:
+    """A few ulps per radix-2 stage, relative to a column's largest entry."""
+    return 4.0 * max(1, n.bit_length() - 1) * 2.0**-52
+
+
+def _max_error(got, expected) -> float:
+    """Largest difference in each column, relative to its largest entry."""
+    return float((np.abs(got - expected) / np.abs(expected).max(axis=0)).max())
+
+
 def test_fwht_matrix_matches_columns():
+    # A one-column pass runs a different BLAS kernel from a wide one, so
+    # the columns agree within the transform's bound, not bit for bit; a
+    # vector and the one-column matrix run the same GEMMs.
     rng = np.random.default_rng(5)
     a = rng.standard_normal((64, 3))
     out = fwht_normalized(a)
     for j in range(3):
-        assert np.array_equal(out[:, j], fwht_normalized(a[:, j]))
+        column = fwht_normalized(a[:, j])
+        assert _max_error(out[:, j : j + 1], column[:, None]) <= _ulp_bound(64)
+        assert np.array_equal(column, fwht_normalized(a[:, j : j + 1])[:, 0])
 
 
 def test_apply_rht_first_hadamard_column():
@@ -167,18 +189,22 @@ def _row_sets(n, rows_per_block, rng):
 @pytest.mark.parametrize("d", [1, 3, 31])
 @pytest.mark.parametrize("n", [2, 8, 64, 1024, 4096])
 def test_blocked_transform_matches_reference_bit_exact(monkeypatch, n, d, block):
+    # Small cache blocks run the top digits across blocks by column chunks.
+    # The GEMM transform is within a few ulps of the butterfly; the sampled
+    # rows are its own rows bit for bit, and the pruned descent is the
+    # butterfly's rows bit for bit.
     monkeypatch.setattr(hadamard, "_BLOCK", block)
     rng = np.random.default_rng(n * 100 + d)
     a = rng.standard_normal((n, d))
     signs = sample_signs(n, n + d)
-    expected = reference_rht(a, signs.signs)
-    assert np.array_equal(apply_rht(a, signs), expected)
+    full = apply_rht(a, signs)
+    assert _max_error(full, reference_rht(a, signs.signs)) <= _ulp_bound(n)
     unscaled = a * signs.signs[:, None]
     reference_butterfly(unscaled)
-    rows_per_block = hadamard._blocking(n, d)[0]
+    rows_per_block = min(n, 1 << (max(1, block // d).bit_length() - 1))
     for name, rows in _row_sets(n, rows_per_block, rng).items():
         rows = np.asarray(rows) % n
-        assert np.array_equal(partial_rht_rows(a, signs, rows), expected[rows]), name
+        assert np.array_equal(partial_rht_rows(a, signs, rows), full[rows]), name
         # Also the pruned descent itself, past the fallback threshold.
         wanted = np.unique(rows)
         pruned = hadamard._pruned_rows(a * signs.signs[:, None], wanted)
@@ -191,14 +217,99 @@ def test_blocked_transform_above_real_block_size():
     rng = np.random.default_rng(15)
     a = rng.standard_normal((n, d))
     signs = sample_signs(n, 15)
-    expected = reference_rht(a, signs.signs)
-    assert np.array_equal(apply_rht(a, signs), expected)
+    full = apply_rht(a, signs)
+    assert _max_error(full, reference_rht(a, signs.signs)) <= _ulp_bound(n)
     for rows in ([n // 3], rng.integers(0, n, size=500), rng.integers(0, n // 8, size=300)):
-        assert np.array_equal(partial_rht_rows(a, signs, rows), expected[rows])
+        assert np.array_equal(partial_rht_rows(a, signs, rows), full[rows])
+    # Any input layout gives the same bytes: the top digits view the signed
+    # work copy as (blocks, rows * d), which only C order allows.
+    for layout in (np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
+        assert np.array_equal(apply_rht(layout, signs), full)
+        assert np.array_equal(partial_rht_rows(layout, signs, [n // 3, 7]), full[[n // 3, 7]])
 
 
-def test_blocked_transform_operation_count(monkeypatch):
-    monkeypatch.setattr(hadamard, "_BLOCK", 16)
+@pytest.mark.parametrize(
+    "n,d", [(2, 1), (64, 3), (2**12, 7), (2**12, 300), (2**14, 51), (2**17, 21), (2**18, 5)]
+)
+def test_gemm_transform_within_a_few_ulps_of_the_butterfly(n, d):
+    # One or two radix digits across cache blocks, and column counts whose
+    # GEMMs split at a multiple of 8 (21, 51, 300).
+    a = np.random.default_rng(n + d).standard_normal((n, d))
+    work = a.copy()
+    hadamard._transform(work)
+    reference_butterfly(a)
+    assert _max_error(work, a) <= _ulp_bound(n)
+
+
+def test_padded_transform_within_a_few_ulps_of_the_butterfly():
+    # 2^12 + 1 rows pad to 2^13 with zeros, as the solver pads [A | b].
+    a = np.zeros((2**13, 7))
+    a[: 2**12 + 1] = np.random.default_rng(13).standard_normal((2**12 + 1, 7))
+    signs = sample_signs(2**13, 13)
+    assert _max_error(apply_rht(a, signs), reference_rht(a, signs.signs)) <= _ulp_bound(2**13)
+
+
+_THREAD_CHILD = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from sketchlsq.hadamard import _gemm, _sylvester, apply_rht, partial_rht_rows, sample_signs
+h = hashlib.sha256()
+for n, d in [(2, 1), (64, 3), (4096, 7), (2**14, 51), (2**14, 1), (2**17, 21), (2**17, 31),
+             (2**18, 5)]:
+    a = np.random.default_rng(n + d).standard_normal((n, d))
+    signs = sample_signs(n, d)
+    h.update(apply_rht(a, signs).tobytes())
+    h.update(partial_rht_rows(a, signs, np.arange(0, n, 7)).tobytes())
+# Column counts off a multiple of 8, wide enough that BLAS threads them.
+for size in (8, 16):
+    for width in (4092, 4095, 4097):
+        x = np.random.default_rng(width).standard_normal((1, size, width))
+        out = np.empty_like(x)
+        _gemm(_sylvester(size), x, out)
+        h.update(out.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_transform_bytes_do_not_depend_on_the_blas_thread_count():
+    # The thread count must be in the environment before numpy loads, so
+    # each count runs in a child process of its own.
+    package_root = str(Path(hadamard.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2", "3", "4"):
+        env = {**os.environ, **dict.fromkeys(_THREAD_VARS, threads)}
+        child = subprocess.run(
+            [sys.executable, "-c", _THREAD_CHILD, package_root],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(child.stdout.strip())
+    assert len(digests[0]) == 64 and digests == digests[:1] * 4
+
+
+def test_radix_digits_multiply_out_to_the_length():
+    for bits in range(0, 21):
+        sizes = hadamard._radices(1 << bits)
+        assert np.prod(sizes, dtype=np.int64) == 1 << bits
+        assert all(2 <= s <= 1 << hadamard._RADIX_BITS for s in sizes)
+        assert max(sizes, default=1) <= 2 * min(sizes, default=1)
+
+
+def test_sylvester_matrix_is_the_kronecker_power_of_h2():
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    h = np.ones((1, 1))
+    for bits in range(1, hadamard._RADIX_BITS + 1):
+        h = np.kron(h, h2)
+        assert np.array_equal(hadamard._sylvester(1 << bits), h)
+    # H_L[i, j] = (-1)^popcount(i & j).
+    size = 1 << hadamard._RADIX_BITS
+    signs = [[(-1.0) ** bin(i & j).count("1") for j in range(size)] for i in range(size)]
+    assert np.array_equal(hadamard._sylvester(size), np.array(signs))
+
+
+def test_blocked_transform_operation_count():
+    # The two references keep the butterfly's additions: log2(n) per entry
+    # for the full transform, one per entry of every live block when pruned.
     n, cols = 64, 3
     plain = np.arange(n * cols, dtype=np.float64).reshape(n, cols)
     reference_butterfly(plain)

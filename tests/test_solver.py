@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sketchlsq.solver as solver_mod
-from sketchlsq import hadamard, workers
+from sketchlsq import workers
 from sketchlsq.errors import (
     ConvergenceFailure,
     InvalidEpsilon,
@@ -491,27 +491,15 @@ def test_sketched_xu_survives_extreme_scales(solve, kappa, scale):
     assert (scaled.embedding_ok, scaled.cross_term_ok) == (plain.embedding_ok, plain.cross_term_ok)
 
 
-@pytest.fixture(params=["inline", "pooled"])
-def butterfly_path(request, monkeypatch):
-    """Run the full butterfly on the calling thread, or on small cache
-    blocks shared out across a pool of three workers."""
-    monkeypatch.setattr(workers, "_pool", None)
-    if request.param == "inline":
-        yield request.param
-        return
-    monkeypatch.setattr(hadamard, "_BLOCK", 256)
-    monkeypatch.setattr(workers, "WORKERS", 3)
-    yield request.param
-    if workers._pool is not None:
-        workers._pool.shutdown()
-
-
 @pytest.mark.parametrize("solve", [sketch_solve_sampling, sketch_solve_projection])
-def test_overflow_in_the_sketch_is_named(butterfly_path, solve):
-    # Entries of 1e307 are finite, but the butterfly's sums are not. The
+def test_overflow_in_the_sketch_is_named(solve, monkeypatch):
+    # Entries of 1e307 are finite, but the transform's sums are not. The
     # error names the overflow, not a NaN matrix the caller never passed,
-    # and no RuntimeWarning escapes, not even from a pool thread. r covers
-    # more than a sixth of the rows, so sampling runs the full butterfly.
+    # and no RuntimeWarning escapes, not even from a BLAS GEMM. r covers
+    # more than a sixth of the rows, so sampling runs `apply_rht`. BLAS
+    # shares the transform's GEMMs out; the worker pool serves only the
+    # CSR product, so these solves never start it.
+    monkeypatch.setattr(workers, "_pool", None)
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((4096, 5)), rng.standard_normal(4096)
     params = _params(r=1024, k=40, q=0.2)
@@ -522,7 +510,7 @@ def test_overflow_in_the_sketch_is_named(butterfly_path, solve):
         out = solve(LsProblem(a * 1e305, b * 1e305), params, 1)
     assert caught == []
     assert np.isfinite(out.x_tilde).all()
-    assert (workers._pool is not None) == (butterfly_path == "pooled")
+    assert workers._pool is None
 
 
 def test_retry_once_on_rank_loss(gaussian_problem, monkeypatch):
@@ -749,7 +737,7 @@ def _solution_digest(outs) -> str:
     return h.hexdigest()
 
 
-def test_solution_bytes_pinned(frozen_projection_draw, householder_solve):
+def test_solution_bytes_pinned(frozen_projection_draw, householder_solve, butterfly_transform):
     plain = _bytes_corpus(diagnostics=False)
     certified = _bytes_corpus(diagnostics=True)
     assert [o.retries for o in plain[-4:]] == [1, 0, 1, 0]
@@ -758,7 +746,7 @@ def test_solution_bytes_pinned(frozen_projection_draw, householder_solve):
     assert _solution_digest(plain) == _PINNED_SOLUTION_DIGEST
 
 
-def test_solution_bytes_pinned_on_the_skip_draw(householder_solve):
+def test_solution_bytes_pinned_on_the_skip_draw(householder_solve, butterfly_transform):
     plain = _bytes_corpus(diagnostics=False)
     certified = _bytes_corpus(diagnostics=True)
     # On this draw the first projection seed of the 9 x 6 cell loses rank
@@ -782,7 +770,7 @@ _PINNED_STACKED_R_SKIP_DRAW_SOLUTION_DIGEST = (
 )
 
 
-def test_solution_bytes_pinned_on_the_stacked_r(frozen_projection_draw):
+def test_solution_bytes_pinned_on_the_stacked_r(frozen_projection_draw, butterfly_transform):
     plain = _bytes_corpus(diagnostics=False)
     certified = _bytes_corpus(diagnostics=True)
     assert [o.retries for o in plain[-4:]] == [1, 0, 1, 0]
@@ -791,13 +779,32 @@ def test_solution_bytes_pinned_on_the_stacked_r(frozen_projection_draw):
     assert _solution_digest(plain) == _PINNED_STACKED_R_SOLUTION_DIGEST
 
 
-def test_solution_bytes_pinned_on_the_skip_draw_and_the_stacked_r():
+def test_solution_bytes_pinned_on_the_skip_draw_and_the_stacked_r(butterfly_transform):
     plain = _bytes_corpus(diagnostics=False)
     certified = _bytes_corpus(diagnostics=True)
     assert [o.retries for o in plain[-4:-2]] == [1, 0]
     assert isinstance(plain[-2], RankDeficient) and plain[-1].retries == 0
     assert _solution_digest(certified) == _solution_digest(plain)
     assert _solution_digest(plain) == _PINNED_STACKED_R_SKIP_DRAW_SOLUTION_DIGEST
+
+
+# Every transform digest in this module and in test_bench.py was computed
+# on the stage-by-stage butterfly (now `reference_butterfly`, through the
+# `butterfly_transform` fixture). The twins below pin the GEMM transform on
+# the current routes, the same at 1, 2, 3 and 4 BLAS threads. Every
+# retries value and RankDeficient decision is the one the butterfly gives.
+_PINNED_GEMM_SOLUTION_DIGEST = (
+    "2092738c5687aca32a778529ca551361aa3c6e3716f164d12b2d3fd883d5aab2"
+)
+
+
+def test_solution_bytes_pinned_on_the_gemm_transform():
+    plain = _bytes_corpus(diagnostics=False)
+    certified = _bytes_corpus(diagnostics=True)
+    assert [o.retries for o in plain[-4:-2]] == [1, 0]
+    assert isinstance(plain[-2], RankDeficient) and plain[-1].retries == 0
+    assert _solution_digest(certified) == _solution_digest(plain)
+    assert _solution_digest(plain) == _PINNED_GEMM_SOLUTION_DIGEST
 
 
 
@@ -828,12 +835,13 @@ def _certificate_digest() -> str:
     return h.hexdigest()
 
 
-def test_certificate_bytes_pinned(two_transform, householder_basis, householder_solve):
+def test_certificate_bytes_pinned(two_transform, householder_basis, householder_solve,
+                                  butterfly_transform):
     assert _certificate_digest() == _PINNED_CERTIFICATE_DIGEST
 
 
 def test_certificate_bytes_pinned_on_cholesky_qr3(two_transform, householder_solve,
-                                                  cholesky_qr3_basis):
+                                                  cholesky_qr3_basis, butterfly_transform):
     assert _certificate_digest() == _PINNED_CHOLESKY_QR3_CERTIFICATE_DIGEST
 
 
@@ -849,12 +857,14 @@ _PINNED_STACKED_R_CHOLESKY_QR3_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_stacked_r(two_transform, householder_basis):
+def test_certificate_bytes_pinned_on_the_stacked_r(two_transform, householder_basis,
+                                                   butterfly_transform):
     assert _certificate_digest() == _PINNED_STACKED_R_CERTIFICATE_DIGEST
 
 
 def test_certificate_bytes_pinned_on_cholesky_qr3_and_the_stacked_r(two_transform,
-                                                                    cholesky_qr3_basis):
+                                                                    cholesky_qr3_basis,
+                                                                    butterfly_transform):
     assert _certificate_digest() == _PINNED_STACKED_R_CHOLESKY_QR3_CERTIFICATE_DIGEST
 
 
@@ -869,7 +879,8 @@ _PINNED_SKETCHED_XU_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_solves_own_sketch(sketched_xu, cholesky_qr3_basis):
+def test_certificate_bytes_pinned_on_the_solves_own_sketch(sketched_xu, cholesky_qr3_basis,
+                                                           butterfly_transform):
     assert _certificate_digest() == _PINNED_SKETCHED_XU_CERTIFICATE_DIGEST
 
 
@@ -906,7 +917,7 @@ _PINNED_SKETCHS_R_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_sketchs_r(cholesky_qr3_basis):
+def test_certificate_bytes_pinned_on_the_sketchs_r(cholesky_qr3_basis, butterfly_transform):
     assert _certificate_digest() == _PINNED_SKETCHS_R_CERTIFICATE_DIGEST
 
 
@@ -921,8 +932,17 @@ _PINNED_HOUSEHOLDER_FALLBACK_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_householder_fallback():
+def test_certificate_bytes_pinned_on_the_householder_fallback(butterfly_transform):
     assert _certificate_digest() == _PINNED_HOUSEHOLDER_FALLBACK_CERTIFICATE_DIGEST
+
+
+_PINNED_GEMM_CERTIFICATE_DIGEST = (
+    "0ddf050c7d351bd0cf941e7ec00dde9582695644ec005e6c28a071d277d96a2a"
+)
+
+
+def test_certificate_bytes_pinned_on_the_gemm_transform():
+    assert _certificate_digest() == _PINNED_GEMM_CERTIFICATE_DIGEST
 
 
 @pytest.mark.parametrize("n", [4096, 4097])
@@ -1043,13 +1063,26 @@ def _scaled_cgnr_problem(kind, scale):
 _PINNED_CGNR_DIGEST = "4e6b20e2f7e7bd1e88baf837beafea27d3199eab9143b5ebe5e5ab242d415319"
 
 
-def test_cgnr_in_range_bytes_pinned():
+def _cgnr_digest() -> str:
     h = hashlib.sha256()
     for kind in KINDS:
         for scale in (1.0, 1e20, 1e-20, 1e45, 1e-45):
             problem = _scaled_cgnr_problem(kind, scale)
             h.update(sketch_solve_best_of(problem, _CGNR_PARAMS, 5, method="cgnr").x_tilde.tobytes())
-    assert h.hexdigest() == _PINNED_CGNR_DIGEST
+    return h.hexdigest()
+
+
+def test_cgnr_in_range_bytes_pinned(butterfly_transform):
+    assert _cgnr_digest() == _PINNED_CGNR_DIGEST
+
+
+# The CGNR digest above was computed on the stage-by-stage butterfly; its
+# twin pins the GEMM transform, the same at 1, 2, 3 and 4 BLAS threads.
+_PINNED_GEMM_CGNR_DIGEST = "3970fa49b5cd81d8a35b55b5eb243db3cf738bba3fb6ed324df12748c6e486a1"
+
+
+def test_cgnr_in_range_bytes_pinned_on_the_gemm_transform():
+    assert _cgnr_digest() == _PINNED_GEMM_CGNR_DIGEST
 
 
 @pytest.mark.parametrize("scale", [1e60, 1e-60, 1e160, 1e-160, 1e300, 1e-300])

@@ -1,6 +1,5 @@
-"""The butterfly and the CSR product shared out across workers: same bytes
-as one worker and as the plain references, and small work never leaves the
-calling thread."""
+"""The CSR product shared out across workers: same bytes as one worker and
+as scipy's serial product, and small work never leaves the calling thread."""
 
 import multiprocessing
 import sys
@@ -10,9 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from oracles import counted_ops, reference_butterfly
-from sketchlsq import hadamard, sketches, workers
-from sketchlsq.hadamard import apply_rht, sample_signs
+from sketchlsq import sketches, workers
 from sketchlsq.sketches import SparseProjection, apply_sparse_projection, draw_sparse_projection
 
 
@@ -33,31 +30,6 @@ class _Refused(Exception):
 class _RefusingPool:
     def submit(self, *args, **kwargs):
         raise _Refused("work reached the pool")
-
-
-def _butterfly_with(count, monkeypatch, work):
-    monkeypatch.setattr(workers, "WORKERS", count)
-    work = work.copy()
-    hadamard._butterfly(work)
-    return work
-
-
-@pytest.mark.parametrize(
-    "block,n,d",
-    [(16, 64, 1), (16, 1024, 3), (16, 4096, 5), (256, 1024, 7), (256, 4096, 31), (None, 2**17, 21)],
-)
-def test_pooled_butterfly_matches_one_worker_and_reference(monkeypatch, three_workers, block, n, d):
-    if block is not None:
-        monkeypatch.setattr(hadamard, "_BLOCK", block)
-    rows, width = hadamard._blocking(n, d)
-    assert n // rows > 1 and rows // width > 1  # both phases split
-    work = np.random.default_rng(n + d).standard_normal((n, d))
-    pooled = _butterfly_with(3, monkeypatch, work)
-    serial = _butterfly_with(1, monkeypatch, work)
-    plain = work.copy()
-    reference_butterfly(plain)
-    assert np.array_equal(pooled, serial)
-    assert np.array_equal(pooled, plain)
 
 
 def _serial_product(t, m):
@@ -99,24 +71,16 @@ def test_pooled_product_matches_serial_scipy(monkeypatch, three_workers, name, t
 def test_small_work_never_reaches_the_pool(monkeypatch):
     monkeypatch.setattr(workers, "WORKERS", 3)
     monkeypatch.setattr(workers, "_executor", _RefusingPool)
-    # One cache block: the whole transform runs on the calling thread.
     a = np.random.default_rng(0).standard_normal((256, 4))
-    apply_rht(a, sample_signs(256, 0))
     # A product below `_CHUNK` nonzeros.
     t = draw_sparse_projection(32, 256, 0.125, 0)
     assert t.nnz < sketches._CHUNK
     apply_sparse_projection(t, a)
-    # Counted object arrays over several cache blocks tally on one thread.
-    monkeypatch.setattr(hadamard, "_BLOCK", 16)
-    n, cols = 64, 3
-    plain = np.arange(n * cols, dtype=np.float64).reshape(n, cols)
-    reference_butterfly(plain)
-    count, values = counted_ops(hadamard._butterfly, n, cols)
-    assert count == n * cols * 6
-    assert np.array_equal(values, plain)
-    # The same shape as floats does reach it, so the stand-in pool is live.
+    # The same product from `_CHUNK` nonzeros on does reach it, so the
+    # stand-in pool is live.
+    monkeypatch.setattr(sketches, "_CHUNK", t.nnz)
     with pytest.raises(_Refused):
-        hadamard._butterfly(plain)
+        apply_sparse_projection(t, a)
 
 
 def test_split_covers_the_range_and_raises_the_first_error(three_workers):
@@ -141,24 +105,18 @@ def test_split_covers_the_range_and_raises_the_first_error(three_workers):
 def test_pooled_paths_under_fast_thread_switching(monkeypatch, three_workers):
     """Three workers on at most two cores, switching every few microseconds,
     from a second caller thread: the bytes stay those of one worker."""
-    monkeypatch.setattr(hadamard, "_BLOCK", 64)
     rng = np.random.default_rng(9)
-    work = rng.standard_normal((4096, 3))
     t = draw_sparse_projection(24, 2**14, 0.5, 9)
     m = rng.standard_normal((t.n, 3))
+    monkeypatch.setattr(sketches, "_CHUNK", 64)
     monkeypatch.setattr(workers, "WORKERS", 1)
-    want_bf = work.copy()
-    hadamard._butterfly(want_bf)
-    want_sp = apply_sparse_projection(t, m)
+    want = apply_sparse_projection(t, m)
     monkeypatch.setattr(workers, "WORKERS", 3)
     results = []
 
     def body():
-        for _ in range(20):
-            got = work.copy()
-            hadamard._butterfly(got)
-            results.append(np.array_equal(got, want_bf))
-            results.append(np.array_equal(apply_sparse_projection(t, m), want_sp))
+        for _ in range(40):
+            results.append(np.array_equal(apply_sparse_projection(t, m), want))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -173,14 +131,16 @@ def test_pooled_paths_under_fast_thread_switching(monkeypatch, three_workers):
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
-def test_a_forked_child_starts_a_pool_of_its_own(three_workers):
+def test_a_forked_child_starts_a_pool_of_its_own(monkeypatch, three_workers):
     # The child inherits the parent's pool object but none of its threads;
     # submitting to it would wait forever.
-    work = np.random.default_rng(3).standard_normal((2**15, 9))
-    hadamard._butterfly(work.copy())
+    t = draw_sparse_projection(24, 2**14, 0.5, 3)
+    m = np.random.default_rng(3).standard_normal((t.n, 3))
+    monkeypatch.setattr(sketches, "_CHUNK", 64)
+    apply_sparse_projection(t, m)
     assert workers._pool is not None
     child = multiprocessing.get_context("fork").Process(
-        target=hadamard._butterfly, args=(work.copy(),)
+        target=apply_sparse_projection, args=(t, m)
     )
     child.start()
     child.join(timeout=60)
