@@ -326,9 +326,9 @@ def sparse_jl(
 def perf_comparison(
     n: int = 2**17, d: int = 30, runs: int = 5, base_seed: int = 0
 ) -> dict:
-    """Median wall time of the sampled pipeline vs. the exact solve, and
-    of the certified sampled pipeline (`diagnostics=True`) and LAPACK's
-    gelsd (`np.linalg.lstsq`, numpy's OpenBLAS) in the same loop.
+    """Median wall time of the sampled pipeline vs. LAPACK's gelsd
+    (`np.linalg.lstsq`, numpy's OpenBLAS), which `verify --perf` gates on,
+    and of the certified pipeline and the exact solve in the same loop.
 
     Informational: the asymptotic claims are not reproducible at desk
     scale, so this measures the one concrete comparison that is.

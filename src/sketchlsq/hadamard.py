@@ -77,11 +77,6 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def _require_pow2(n: int):
-    if n < 1 or n & (n - 1):
-        raise NotPowerOfTwo(f"length {n} is not a power of two")
-
-
 def _require_finite(arr: np.ndarray):
     if not np.isfinite(arr).all():
         raise InvalidSpec("input contains NaN or Inf entries")
@@ -202,17 +197,34 @@ def fwht_normalized(x) -> np.ndarray:
     return apply_rht(x, SignDiagonal(signs=np.ones(n), seed=0, label="unit"))
 
 
+def _padded_length(arr: np.ndarray, d_signs: SignDiagonal) -> int:
+    """The diagonal's length P, a power of two no less than `arr`'s rows."""
+    p = d_signs.n
+    if p < 1 or p & (p - 1):
+        raise NotPowerOfTwo(f"length {p} is not a power of two")
+    if arr.shape[0] > p:
+        raise DimensionMismatch(f"matrix has {arr.shape[0]} rows, diagonal has {p}")
+    return p
+
+
+def _signed_work(arr: np.ndarray, d_signs: SignDiagonal) -> np.ndarray:
+    """D [arr; 0] in a new C-order array (`_transform` needs C order)."""
+    m = arr.shape[0]
+    work = np.empty((d_signs.n, arr.shape[1]))
+    np.multiply(arr, d_signs.signs[:m, None], out=work[:m])
+    work[m:] = 0.0
+    return work
+
+
 def apply_rht(a, d_signs: SignDiagonal) -> np.ndarray:
-    """Randomized Hadamard transform H D a of a matrix (or vector) a."""
+    """Randomized Hadamard transform H D a of a matrix (or vector) a, read
+    as zero-padded to the diagonal's power-of-two length P if shorter."""
     arr, was_vector = _as_columns(a, "matrix")
-    n = arr.shape[0]
-    _require_pow2(n)
-    if n != d_signs.n:
-        raise DimensionMismatch(f"matrix has {n} rows, diagonal has {d_signs.n}")
+    p = _padded_length(arr, d_signs)
     _require_finite(arr)
-    work = np.multiply(arr, d_signs.signs[:, None], order="C")  # `_transform` needs C order
+    work = _signed_work(arr, d_signs)
     _transform(work)
-    work *= _scale(n)
+    work *= _scale(p)
     return work[:, 0] if was_vector else work
 
 
@@ -237,36 +249,33 @@ def _pruned_rows(work: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 def partial_rht_rows(a, d_signs: SignDiagonal, rows) -> np.ndarray:
     """Selected rows of H D a, bit-identical to slicing `apply_rht(a, d_signs)`.
 
-    `rows` are integers (an empty request may have any dtype); they may
-    repeat and need not be sorted, and the output row order matches the
-    request. Above a sixth of all rows requested it calls `apply_rht` and
-    slices; below, it runs the same transform itself and checks only the
-    rows it returns. The benchmark's span counts pin that split; once the
-    benchmark stops pinning it, one branch can go.
+    `rows` are integers in [0, P) (an empty request may have any dtype);
+    they may repeat and need not be sorted, and the output row order
+    matches the request. Above a sixth of all P rows requested it calls
+    `apply_rht` and slices; below, it runs the same transform itself and
+    checks only the rows it returns. The benchmark's span counts pin that
+    split; once the benchmark stops pinning it, one branch can go.
     """
     arr, was_vector = _as_columns(a, "matrix")
-    n = arr.shape[0]
-    _require_pow2(n)
-    if n != d_signs.n:
-        raise DimensionMismatch(f"matrix has {n} rows, diagonal has {d_signs.n}")
+    p = _padded_length(arr, d_signs)
     rows = np.asarray(rows)
     if rows.ndim != 1:
         raise IndexOutOfRange("rows must be a 1-D index list")
     if rows.size == 0:
         return np.empty(0) if was_vector else np.empty((0, arr.shape[1]))
-    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
-        raise IndexOutOfRange(f"row indices must be integers in [0, {n})")
-    if np.unique(rows).size > n // _PRUNE_FRACTION:
+    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= p:
+        raise IndexOutOfRange(f"row indices must be integers in [0, {p})")
+    if np.unique(rows).size > p // _PRUNE_FRACTION:
         out = apply_rht(arr, d_signs)[rows]
     else:
-        work = np.multiply(arr, d_signs.signs[:, None], order="C")  # `_transform` needs C order
+        work = _signed_work(arr, d_signs)
         # Every output row is a +-1 sum of every input row, so a NaN or Inf
         # anywhere in the input reaches the output: check the few rows out,
         # and scan the input only to name the cause (inf - inf is NaN).
         with np.errstate(invalid="ignore"):
             _transform(work)
             out = work[rows]
-        out *= _scale(n)
+        out *= _scale(p)
         if not np.isfinite(out).all():
             _require_finite(arr)
     return out[:, 0] if was_vector else out

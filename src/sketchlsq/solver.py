@@ -1,12 +1,13 @@
 """Sketch-and-solve pipeline and structural-condition diagnostics.
 
-Both methods run one pipeline on the problem's [A | b], zero-padded to a
-power-of-two row count once, when the problem is built: draw the random
-signs D and the sketch X, apply the randomized Hadamard transform H D,
-apply X, and solve the small induced problem exactly. The methods differ
-only in X: `sketch_solve_sampling` samples r rows uniformly and rescales
-them by sqrt(n/r), evaluating only those rows of the transform;
-`sketch_solve_projection` multiplies by a sparse k x n projection.
+Both methods run one pipeline on the problem's [A | b]: draw the random
+signs D and the sketch X over P = next_pow2(n) rows, apply the randomized
+Hadamard transform H D, which reads [A | b] as zero-padded to P rows in
+its own work copy, apply X, and solve the small problem exactly. The
+methods differ only in X: `sketch_solve_sampling` samples r rows
+uniformly and rescales them by sqrt(n/r), evaluating only those rows of
+the transform; `sketch_solve_projection` multiplies by a sparse k x n
+projection.
 `SketchOutcome.timings` has the same phases for both:
 
   - "transform": the sign and sketch draws plus H D [A | b] (only the
@@ -89,9 +90,9 @@ class LsProblem:
     """Overdetermined pair (A, b) with n >= d >= 1.
 
     Construction validates A and b and copies them once into `stacked`,
-    [A | b] zero-padded to a power-of-two row count for the transform; `a`
-    and `b` are views of its first n rows. The zero rows add nothing to the
-    objective, so the minimizer and the optimal residual are those of (A, b).
+    the n x (d+1) [A | b] with no zero rows; `a` and `b` are views of it.
+    The transform reads it as zero-padded to a power of two, and zero rows
+    leave the minimizer and the optimal residual those of (A, b).
 
     Full column rank is assumed, as the bounds require, and checked lazily:
     exact solves raise RankDeficient when it fails.
@@ -109,12 +110,10 @@ class LsProblem:
             raise DimensionMismatch(f"A has {n} rows, b has {b.shape[0]}")
         if n < d:
             raise DimensionMismatch(f"need n >= d, got {n} x {d}")
-        stacked = np.zeros((next_pow2(n), d + 1))
-        stacked[:n, :d] = a
-        stacked[:n, d] = b
+        stacked = np.column_stack([a, b])
         object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "a", stacked[:n, :d])
-        object.__setattr__(self, "b", stacked[:n, d])
+        object.__setattr__(self, "a", stacked[:, :d])
+        object.__setattr__(self, "b", stacked[:, d])
 
     @property
     def n(self) -> int:
@@ -371,12 +370,11 @@ def _diagnostics(
     gamma. b_perp gets a transform of its own: X b - (X U)(U^T b) would
     cancel when Z << ||b||, and bias the cross-term check toward passing.
     """
-    a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
     xa = sketched[:, :-1]
     r_s = np.linalg.qr(xa, mode="r")
-    basis = orthonormal_basis(a_pad, r_s)
-    utb = basis.q.T @ b_pad
-    bperp = b_pad - basis.q @ utb
+    basis = orthonormal_basis(problem.a, r_s)
+    utb = basis.q.T @ problem.b
+    bperp = problem.b - basis.q @ utb
     z = vector_norm(bperp)
     # One 2-D column: the benchmark's spans read (n, cols) off every
     # transform's input.
@@ -393,7 +391,7 @@ def _diagnostics(
     sv = gram_singular_values(basis.r)
     return Diagnostics(
         z=z,
-        gamma=_gamma(utb, b_pad),
+        gamma=_gamma(utb, problem.b),
         kappa=float(sv[0] / sv[-1]),
         sigma_min=float(sv[-1]),
         **vars(check),
@@ -414,8 +412,8 @@ def _sketch_solve(
     stream_prefix: str,
 ) -> SketchOutcome:
     """The pipeline behind both public solves: draw the signs and the
-    sketch, transform the problem's padded [A | b], apply the sketch, solve
-    the small problem.
+    sketch over the padded row count, transform the problem's [A | b], apply
+    the sketch, solve the small problem.
 
     `draw(padded_n, label)` draws the sketch unless `op` injects one. If the
     sketched matrix loses rank, the solve retries once on the `:1` streams,
@@ -423,7 +421,7 @@ def _sketch_solve(
     """
     timings: dict = {}
     t_start = time.perf_counter()
-    padded_n = problem.stacked.shape[0]
+    padded_n = next_pow2(problem.n)
     retries = 0
     for attempt in range(2):
         t0 = time.perf_counter()
@@ -614,4 +612,4 @@ def sketch_solve_best_of(
 
 def exact_outcome(problem: LsProblem) -> tuple[np.ndarray, float]:
     """Exact x and optimal residual, both from the R of the problem's [A | b]."""
-    return _stacked_lstsq(problem.stacked[:problem.n])
+    return _stacked_lstsq(problem.stacked)

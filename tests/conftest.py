@@ -13,6 +13,7 @@ from oracles import (
     householder_exact_outcome,
     householder_orthonormal_basis,
     householder_solve_exact_ls,
+    padded_diagnostics,
     reference_butterfly,
     sketched_xu_diagnostics,
     two_transform_diagnostics,
@@ -68,6 +69,14 @@ def sketched_xu(monkeypatch):
     preconditioned by the sketch's R, X U = (X H D A)(U^T A)^-1, so that
     digests taken on it keep their meaning."""
     monkeypatch.setattr(solver, "_diagnostics", sketched_xu_diagnostics)
+
+
+@pytest.fixture
+def padded_certificate(monkeypatch):
+    """Make every certificate the one it was before the problem held
+    [A | b] without zero rows, with the basis, U^T b and b_perp over the
+    zero-padded rows, so that digests taken on it keep their meaning."""
+    monkeypatch.setattr(solver, "_diagnostics", padded_diagnostics)
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ around a known singular spectrum, triple-loop products for sparse
 operators, the plain stage-by-stage Hadamard butterfly, the triplet
 sparse-projection draws and product, the per-pair moment-bound loop, and
 the frozen projection draw, Householder basis, shifted-CholeskyQR3 basis,
-Householder least-squares solve, two-transform diagnostics and sketched-XU
-diagnostics that pinned digests were taken with.
+Householder least-squares solve, two-transform, sketched-XU and
+zero-padded diagnostics that pinned digests were taken with.
 """
 
 import math
@@ -21,6 +21,7 @@ from scipy.linalg import solve_triangular
 import sketchlsq.solver as solver
 from sketchlsq.ensembles import EnsembleResult, _moment_pair
 from sketchlsq.errors import DimensionMismatch, InvalidSpec, RankDeficient
+from sketchlsq.hadamard import next_pow2
 from sketchlsq.linalg import (
     QrFactors,
     _as_tall,
@@ -333,13 +334,21 @@ def householder_exact_outcome(problem):
     return x, vector_norm(problem.a @ x - problem.b)
 
 
+def _zero_padded(problem) -> tuple[np.ndarray, np.ndarray]:
+    """A and b zero-padded to the transform's power-of-two row count, as
+    the problem stored them before it held [A | b] without zero rows."""
+    padded = np.zeros((next_pow2(problem.n), problem.d + 1))
+    padded[: problem.n] = problem.stacked
+    return padded[:, :-1], padded[:, -1]
+
+
 def two_transform_diagnostics(problem, d_signs, op, sketched, eps):
     """The diagnostics as they were before X U came from the solve's own
     sketch: a second transform, of [U | b_perp], ignoring `sketched`. The
     basis is looked up in `solver` at call time, so the Householder-basis
     fixture reaches it. The certificate digests taken before the re-roll
     hold on it."""
-    a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
+    a_pad, b_pad = _zero_padded(problem)
     u = solver.orthonormal_basis(a_pad).q
     bperp = project_out(u, b_pad)
     z = vector_norm(bperp)
@@ -360,7 +369,7 @@ def sketched_xu_diagnostics(problem, d_signs, op, sketched, eps):
     the sketch's R: the basis from A alone, X U = (X H D A)(U^T A)^-1 from
     the solve's own sketch, and kappa and sigma_min from the d x d U^T A.
     The certificate digest taken before the re-roll holds on it."""
-    a_pad, b_pad = problem.stacked[:, :-1], problem.stacked[:, -1]
+    a_pad, b_pad = _zero_padded(problem)
     u = solver.orthonormal_basis(a_pad).q
     bperp = project_out(u, b_pad)
     z = vector_norm(bperp)
@@ -373,6 +382,35 @@ def sketched_xu_diagnostics(problem, d_signs, op, sketched, eps):
     return solver.Diagnostics(
         z=z,
         gamma=solver.gamma_fraction(u, b_pad),
+        kappa=float(sv[0] / sv[-1]),
+        sigma_min=float(sv[-1]),
+        **vars(check),
+    )
+
+
+def padded_diagnostics(problem, d_signs, op, sketched, eps):
+    """The diagnostics as they were before the problem held [A | b] without
+    zero rows: the basis, U^T b and b_perp over the zero-padded rows. The
+    basis is looked up in `solver` at call time, so the basis fixtures
+    reach it. The certificate digests taken before the change hold on it."""
+    a_pad, b_pad = _zero_padded(problem)
+    xa = sketched[:, :-1]
+    r_s = np.linalg.qr(xa, mode="r")
+    basis = solver.orthonormal_basis(a_pad, r_s)
+    utb = basis.q.T @ b_pad
+    bperp = b_pad - basis.q @ utb
+    z = vector_norm(bperp)
+    xbperp = solver._apply(op, solver._transform(op, bperp[:, None], d_signs))[:, 0]
+    e = -int(np.frexp(np.abs(basis.r).max())[1])
+    e_b = -int(np.frexp(np.abs(xbperp).max())[1])
+    r_s = np.ldexp(r_s, e)
+    f = r_s @ np.linalg.inv(np.ldexp(basis.r, e))
+    w = np.linalg.inv(r_s).T @ (np.ldexp(xa, e).T @ np.ldexp(xbperp, e_b))
+    check = solver.verify_conditions(f, np.ldexp(w, -e_b), z, eps)
+    sv = gram_singular_values(basis.r)
+    return solver.Diagnostics(
+        z=z,
+        gamma=solver._gamma(utb, b_pad),
         kappa=float(sv[0] / sv[-1]),
         sigma_min=float(sv[-1]),
         **vars(check),

@@ -222,13 +222,15 @@ def test_10_determinism_byte_identical():
 
 
 @pytest.mark.perf
-def test_11_sampling_beats_exact_qr_wall_clock():
+def test_11_sampling_beats_gelsd_wall_clock():
+    # gelsd (np.linalg.lstsq), not the package's slower exact solve, is the
+    # honest LAPACK baseline.
     perf = ensembles.perf_comparison(n=2**17, d=30, runs=5, base_seed=0)
-    ok = perf["sketch_median_s"] < perf["exact_median_s"]
+    ok = perf["sketch_median_s"] < perf["gelsd_median_s"]
     assert _report(
-        "criterion 11: sampled pipeline vs exact QR (opt-in)",
+        "criterion 11: sampled pipeline vs gelsd (opt-in)",
         ok,
-        f"sampled={perf['sketch_median_s']:.3f}s exact={perf['exact_median_s']:.3f}s "
+        f"sampled={perf['sketch_median_s']:.3f}s gelsd={perf['gelsd_median_s']:.3f}s "
         f"r={perf['r']} median of {perf['runs']}",
     )
 

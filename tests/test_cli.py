@@ -222,7 +222,9 @@ def test_verify_prints_each_ensemble_time_and_gelsd(monkeypatch, capsys):
     ensemble_lines = [line for line in lines if line.startswith("[") and "perf n=" not in line]
     assert len(ensemble_lines) == 11
     assert all(re.search(r" time=\d+\.\d{3}s$", line) for line in ensemble_lines)
-    assert f"(gelsd median {perf['gelsd_median_s']:.3f}s)" in lines[-2]
+    assert f"vs gelsd median {perf['gelsd_median_s']:.3f}s (exact median" in lines[-2]
+    passed = perf["sketch_median_s"] < perf["gelsd_median_s"]
+    assert lines[-2].startswith("[PASS]" if passed else "[FAIL]")
     # The certified solve's cost next to the bare one: ROADMAP item 3 asks
     # for at most 2x.
     assert len(perf["certified_times"]) == 2

@@ -242,11 +242,12 @@ def test_gemm_transform_within_a_few_ulps_of_the_butterfly(n, d):
 
 
 def test_padded_transform_within_a_few_ulps_of_the_butterfly():
-    # 2^12 + 1 rows pad to 2^13 with zeros, as the solver pads [A | b].
+    # 2^12 + 1 rows, read as zero-padded to 2^13, as the solver's [A | b] is.
     a = np.zeros((2**13, 7))
     a[: 2**12 + 1] = np.random.default_rng(13).standard_normal((2**12 + 1, 7))
     signs = sample_signs(2**13, 13)
-    assert _max_error(apply_rht(a, signs), reference_rht(a, signs.signs)) <= _ulp_bound(2**13)
+    got = apply_rht(a[: 2**12 + 1], signs)
+    assert _max_error(got, reference_rht(a, signs.signs)) <= _ulp_bound(2**13)
 
 
 _THREAD_CHILD = """
@@ -357,9 +358,52 @@ def test_partial_empty_request_is_empty_at_any_dtype(rows):
     assert partial_rht_rows(np.ones(8), sample_signs(8, 0), rows).shape == (0,)
 
 
-def test_partial_dimension_check():
+def test_more_rows_than_the_diagonal_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        partial_rht_rows(np.ones((8, 1)), sample_signs(16, 0), [0])
+        apply_rht(np.ones((17, 1)), sample_signs(16, 0))
+    with pytest.raises(DimensionMismatch):
+        partial_rht_rows(np.ones((17, 1)), sample_signs(16, 0), [0])
+
+
+def test_a_diagonal_off_a_power_of_two_is_named():
+    signs = sample_signs(12, 0)
+    for rows in (12, 9):
+        with pytest.raises(NotPowerOfTwo):
+            apply_rht(np.ones((rows, 2)), signs)
+        with pytest.raises(NotPowerOfTwo):
+            partial_rht_rows(np.ones((rows, 2)), signs, [0])
+
+
+def _layouts(a):
+    """`a` as C-ordered, Fortran-ordered and column-strided arrays."""
+    return {"C": a, "F": np.asfortranarray(a), "strided": np.repeat(a, 2, axis=1)[:, ::2]}
+
+
+@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("cols", [None, 1, 3, 31])
+@pytest.mark.parametrize("m", [1, 3, 5, 1025])
+def test_fewer_rows_read_as_zero_padded_to_the_diagonal(monkeypatch, m, cols, block):
+    # m < P rows give the bytes of the same call on [a; 0], P the diagonal's
+    # length; the requested rows may lie anywhere in [0, P), in the zero
+    # rows' range too. (Gaussian data: no output is an exact zero, whose
+    # sign could follow the padding's signed zeros.) cols=None is a vector.
+    if block is not None:
+        monkeypatch.setattr(hadamard, "_BLOCK", block)
+    p = next_pow2(m + 1)
+    rng = np.random.default_rng(m * 100 + (cols or 0))
+    a = rng.standard_normal(m if cols is None else (m, cols))
+    padded = np.zeros((p, *a.shape[1:]))
+    padded[:m] = a
+    signs = sample_signs(p, m)
+    full = apply_rht(padded, signs)
+    request = {"sampled": rng.integers(0, p, size=max(1, p // 8)), "tail": [p - 1, m, 0],
+               "fallback": rng.integers(0, p, size=p // 2 + 1)}
+    views = {"vector": a} if cols is None else _layouts(a)
+    for layout, view in views.items():
+        assert apply_rht(view, signs).tobytes() == full.tobytes(), layout
+        for name, rows in request.items():
+            expected = partial_rht_rows(padded, signs, rows)
+            assert partial_rht_rows(view, signs, rows).tobytes() == expected.tobytes(), (layout, name)
 
 
 def test_next_pow2():

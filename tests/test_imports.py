@@ -5,7 +5,9 @@
   scipy ships never wakes to contend with numpy's for the cores;
 - `solver` looks up every hadamard, sketches and linalg function at call
   time, so that the benchmark's spans and the tests that wrap or replace
-  those names in `solver` see every call.
+  those names in `solver` see every call;
+- it calls no NumPy function that NumPy 2 added, since `pyproject.toml`
+  declares `numpy>=1.24`.
 """
 
 import ast
@@ -160,3 +162,91 @@ def test_the_call_time_guard_sees_a_planted_capture(planted):
     kernels = _kernels(tree)
     tree.body.extend(ast.parse(planted).body)
     assert _captures(tree, kernels)
+
+
+# Names relative to the numpy module that NumPy 2 added (2.0 unless noted),
+# so a call to one fails under the declared floor, numpy>=1.24.
+_NUMPY_2_ONLY = frozenset({
+    "acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh",
+    "bitwise_count", "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift",
+    "concat", "isdtype", "long", "matrix_transpose", "permute_dims", "pow", "strings",
+    "trapezoid", "ulong", "unique_all", "unique_counts", "unique_inverse", "unique_values",
+    "vecdot",
+    "cumulative_prod", "cumulative_sum", "unstack",  # 2.1
+    "matvec", "vecmat",  # 2.2
+    "linalg.cross", "linalg.diagonal", "linalg.matmul", "linalg.matrix_norm",
+    "linalg.matrix_transpose", "linalg.outer", "linalg.svdvals", "linalg.tensordot",
+    "linalg.trace", "linalg.vecdot", "linalg.vector_norm",
+})
+
+
+def _numpy_names(tree):
+    """(line, name relative to numpy) of every numpy attribute `tree` reads
+    through a name bound to numpy or one of its modules, and of every name
+    it imports from them."""
+    modules = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    if alias.asname:
+                        modules[alias.asname] = alias.name.removeprefix("numpy").lstrip(".")
+                    else:
+                        modules["numpy"] = ""
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                and node.module.split(".")[0] == "numpy":
+            prefix = node.module.removeprefix("numpy").lstrip(".")
+            found += [(node.lineno, f"{prefix}.{a.name}".lstrip(".")) for a in node.names]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        parts, root = [], node
+        while isinstance(root, ast.Attribute):
+            parts.insert(0, root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in modules:
+            found.append((node.lineno, ".".join([modules[root.id], *parts]).lstrip(".")))
+    return found
+
+
+def _numpy_2_calls(tree):
+    return [(line, name) for line, name in _numpy_names(tree) if name in _NUMPY_2_ONLY]
+
+
+def test_no_module_calls_a_numpy_2_addition():
+    found = [
+        f"{path.name}:{line}: numpy.{name}"
+        for path in _SOURCES
+        for line, name in _numpy_2_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "def f(x):\n    return np.bitwise_count(x)",
+        "X = np.concat",
+        "def f(x):\n    return np.linalg.vector_norm(x)",
+        "import numpy\ndef f(x):\n    return numpy.unstack(x)",
+        "import numpy as xp\ndef f(x):\n    return xp.cumulative_sum(x)",
+        "import numpy.linalg as la\ndef f(x):\n    return la.svdvals(x)",
+        "from numpy import astype",
+        "from numpy.linalg import matrix_norm",
+    ],
+    ids=["call", "module-level", "linalg", "plain-import", "alias", "submodule-alias",
+         "from-import", "from-submodule"],
+)
+def test_the_numpy_floor_guard_sees_a_planted_call(planted):
+    tree = _solver_tree()
+    assert _numpy_2_calls(tree) == []
+    tree.body.extend(ast.parse(planted).body)
+    assert _numpy_2_calls(tree)
+
+
+def test_the_numpy_floor_guard_passes_numpy_1_names():
+    planted = "def f(x):\n    return np.linalg.norm(x.astype(float)) + np.unique(x).size"
+    tree = _solver_tree()
+    tree.body.extend(ast.parse(planted).body)
+    assert _numpy_2_calls(tree) == []

@@ -96,11 +96,12 @@ def test_non_finite_kappa_rejected(kappa):
         ProblemSpec(kind=KIND_GAUSSIAN, n=8, d=2, kappa=kappa, gamma=1.0, seed=0)
 
 
-# SHA-256 over the padded [A | b] of every kind at four shapes, computed
-# while the generator's bases were the diagnostics' Householder Q, before
-# `orthonormal_basis` became shifted CholeskyQR3. The problems, and the
-# benchmark inputs built from them, must not move with the basis.
-_PINNED_PROBLEM_DIGEST = "332d019f68b63f9fbaf7bdb4b78d0a22532417e5d25c06fdacbc6d55c72aa28e"
+# SHA-256 over the [A | b] of every kind at four shapes. The problems, and
+# the benchmark inputs built from them, must not move with the basis.
+# First pinned on the zero-padded [A | b] while the generator's bases were
+# the diagnostics' Householder Q (332d019f...); this is that digest's
+# [A | b] without its zero rows, the hash of the same A and b.
+_PINNED_PROBLEM_DIGEST = "30bfe60795ee7e1eb59f297b521bfcd31057c748cc4ce84e6ce386a610cb2ca1"
 
 
 def test_generated_problem_bytes_pinned():

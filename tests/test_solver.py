@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sketchlsq.solver as solver_mod
 from sketchlsq import workers
+from sketchlsq.hadamard import next_pow2
 from sketchlsq.errors import (
     ConvergenceFailure,
     InvalidEpsilon,
@@ -76,21 +77,25 @@ def test_problem_pad_noop():
     assert np.array_equal(problem.stacked[:, -1], b)
 
 
-def test_problem_pads_with_zeros():
+def test_problem_stores_no_zero_rows():
+    # Only the transform's own work copy is zero-padded to a power of two.
     rng = np.random.default_rng(14)
     a = rng.standard_normal((5, 2))
     b = rng.standard_normal(5)
     problem = LsProblem(a, b)
-    assert problem.stacked.shape == (8, 3)
-    assert np.array_equal(problem.stacked[5:], np.zeros((3, 3)))
+    assert problem.stacked.shape == (5, 3)
+    assert np.array_equal(problem.stacked, np.column_stack([a, b]))
     assert np.array_equal(problem.a, a) and np.array_equal(problem.b, b)
 
 
-def test_problem_pad_preserves_ls_solution():
+def test_zero_padding_preserves_the_ls_solution():
+    # The transform reads [A | b] as zero-padded; zero rows leave the
+    # minimizer and the optimal residual as they are.
     rng = np.random.default_rng(15)
     a = rng.standard_normal((11, 3))
     b = rng.standard_normal(11)
-    stacked = LsProblem(a, b).stacked
+    stacked = np.zeros((16, 4))
+    stacked[:11] = LsProblem(a, b).stacked
     a_pad, b_pad = stacked[:, :-1], stacked[:, -1]
     x = solve_exact_ls(a, b)
     x_pad = solve_exact_ls(a_pad, b_pad)
@@ -129,6 +134,25 @@ def test_sampled_solve_makes_no_copy_of_the_problem():
     assert peak < 2 * problem.stacked.nbytes
 
 
+def test_a_padded_certified_solve_makes_one_padded_buffer():
+    # At n = 2^14 + 1 the problem stores its n rows, and the one P-row
+    # array a certified solve makes is the transform's work copy: the
+    # basis, U^T b and b_perp run on the n rows. Zero rows stored in the
+    # problem and swept by the basis pushed the peak to ~2.1x.
+    n, d = 2**14 + 1, 30
+    problem = gen_problem(ProblemSpec(KIND_GAUSSIAN, n, d, 10.0, 0.9, seed=7))
+    assert problem.stacked.shape == (n, d + 1)
+    params = SketchParams.practical(n, d, 0.5)
+    sketch_solve_sampling(problem, params, 1, diagnostics=True)
+    tracemalloc.start()
+    try:
+        sketch_solve_sampling(problem, params, 2, diagnostics=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * next_pow2(n) * (d + 1) * 8
+
+
 def test_exact_solve_holds_no_q():
     # The R of the problem's own [A | b] costs one working copy of it; an
     # n x d Q on top of that copy would push the peak to ~2x.
@@ -140,7 +164,7 @@ def test_exact_solve_holds_no_q():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * problem.stacked[:problem.n].nbytes
+    assert peak <= 1.25 * problem.stacked.nbytes
 
 
 def test_full_sketch_collapse(gaussian_problem):
@@ -899,7 +923,7 @@ def test_sketched_xu_matches_the_two_transform_certificate(sketched_xu, monkeypa
     new = solve(problem, params, 23, diagnostics=True).diagnostics
     monkeypatch.setattr(solver_mod, "_diagnostics", two_transform_diagnostics)
     old = solve(problem, params, 23, diagnostics=True).diagnostics
-    tol = 10.0 * (kappa + math.log2(problem.stacked.shape[0])) * 2.0**-52
+    tol = 10.0 * (kappa + math.log2(next_pow2(n))) * 2.0**-52
     assert np.abs(new.sigma_xu / old.sigma_xu - 1.0).max() <= tol
     assert abs(new.cross_term / old.cross_term - 1.0) <= tol
     assert (new.embedding_ok, new.cross_term_ok) == (old.embedding_ok, old.cross_term_ok)
@@ -917,7 +941,8 @@ _PINNED_SKETCHS_R_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_sketchs_r(cholesky_qr3_basis, butterfly_transform):
+def test_certificate_bytes_pinned_on_the_sketchs_r(cholesky_qr3_basis, butterfly_transform,
+                                                   padded_certificate):
     assert _certificate_digest() == _PINNED_SKETCHS_R_CERTIFICATE_DIGEST
 
 
@@ -932,7 +957,8 @@ _PINNED_HOUSEHOLDER_FALLBACK_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_householder_fallback(butterfly_transform):
+def test_certificate_bytes_pinned_on_the_householder_fallback(butterfly_transform,
+                                                              padded_certificate):
     assert _certificate_digest() == _PINNED_HOUSEHOLDER_FALLBACK_CERTIFICATE_DIGEST
 
 
@@ -941,8 +967,23 @@ _PINNED_GEMM_CERTIFICATE_DIGEST = (
 )
 
 
-def test_certificate_bytes_pinned_on_the_gemm_transform():
+def test_certificate_bytes_pinned_on_the_gemm_transform(padded_certificate):
     assert _certificate_digest() == _PINNED_GEMM_CERTIFICATE_DIGEST
+
+
+# The three certificate digests above were computed when the problem held
+# [A | b] zero-padded to a power-of-two row count, and the basis, U^T b and
+# b_perp ran over the zero rows (now `padded_diagnostics`). Their twin pins
+# them over the n rows alone, the same at 1, 2, 3 and 4 BLAS threads. Only
+# the padded cells move, n = 1025 and 9 x 6, and only in their rounding:
+# z, every flag, every residual_tilde and every solution byte stay.
+_PINNED_UNPADDED_CERTIFICATE_DIGEST = (
+    "3e227bf5dca612720d6da65c4225b60d8ecb7f6500e22455ad4222c4632ba25e"
+)
+
+
+def test_certificate_bytes_pinned_on_the_unpadded_problem():
+    assert _certificate_digest() == _PINNED_UNPADDED_CERTIFICATE_DIGEST
 
 
 @pytest.mark.parametrize("n", [4096, 4097])
@@ -962,7 +1003,7 @@ def test_sketchs_r_matches_the_sketched_xu_certificate(monkeypatch, n, solve, ka
     assert new.x_tilde.tobytes() == old.x_tilde.tobytes()
     assert new.residual_tilde == old.residual_tilde
     new, old = new.diagnostics, old.diagnostics
-    tol = 10.0 * (kappa + math.log2(problem.stacked.shape[0])) * 2.0**-52
+    tol = 10.0 * (kappa + math.log2(next_pow2(n))) * 2.0**-52
     for name in ("sigma_xu", "cross_term", "z", "gamma", "kappa", "sigma_min"):
         rel = np.abs(np.asarray(getattr(new, name)) / getattr(old, name) - 1.0)
         assert rel.max() <= tol, name
@@ -1313,7 +1354,7 @@ def test_injected_rank_deficient_sketch_never_retries(n, d, data, seed):
     # no nonzero cell is all zeros. Neither may fall back to a fresh draw.
     d = min(d, n - 1)
     problem = gen_problem(ProblemSpec(KIND_GAUSSIAN, n, d, 10.0, 0.9, seed=seed))
-    padded = problem.stacked.shape[0]
+    padded = next_pow2(problem.n)
     row = data.draw(st.integers(0, padded - 1))
     plan = SamplingPlan(n=padded, r=d, indices=np.full(d, row, dtype=np.int64),
                         scale=math.sqrt(padded / d))
